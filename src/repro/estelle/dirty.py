@@ -16,7 +16,8 @@ those are therefore exactly:
 * the module tree changing shape (``init`` / ``release``) —
   :meth:`~repro.estelle.module.Module.create_child` /
   :meth:`~repro.estelle.module.Module.release_child` bump the *structure
-  epoch*, which invalidates every cached selection.
+  epoch* and mark the parent; the planner re-flattens the tree, evaluates
+  the newcomers and keeps the selections of unmarked survivors.
 
 Code that mutates a module's variables *outside* a firing (test fixtures,
 hand-driven examples) is outside this contract; such callers must invalidate
@@ -47,7 +48,7 @@ class DirtyTracker:
     ``drain()`` hands the current dirty set to the planner and resets it; the
     *structure epoch* counts tree-shape changes (module creation/release) so a
     planner can detect that its flattened module arrays are stale and must be
-    rebuilt (a full re-evaluation).
+    rebuilt.
 
     The dirty contract also has a *time* dimension: the passage of simulated
     time can enable a ``delay``-bearing transition without any data mutation,

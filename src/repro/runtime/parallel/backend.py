@@ -357,9 +357,6 @@ class _RoundPlanner:
                 module.path: index
                 for index, module in enumerate(self._program.modules)
             }
-            self._results: List[Optional[DispatchResult]] = [None] * len(
-                self._program.modules
-            )
             self._pending: List[int] = [0] * len(self._program.modules)
             self._unfilled = len(self._program.modules)
 
@@ -383,10 +380,11 @@ class _RoundPlanner:
         placeholder = DispatchResult(
             transition=None, examined=0, cost=0.0, external=False
         )
+        results = self._program.results
         for index, module in enumerate(self._program.modules):
             root = "/".join(module.path.split("/", 2)[:2])
-            if root in self._masked_roots and self._results[index] is None:
-                self._results[index] = placeholder
+            if root in self._masked_roots and results[index] is None:
+                results[index] = placeholder
                 self._pending[index] = 0
                 self._unfilled -= 1
 
@@ -414,23 +412,24 @@ class _RoundPlanner:
 
     def _rebuild_program(self) -> None:
         cached = {
-            module.path: (self._results[index], self._pending[index])
-            for index, module in enumerate(self._program.modules)
+            module.path: (result, pending)
+            for module, result, pending in zip(
+                self._program.modules, self._program.results, self._pending
+            )
         }
         self._program = compile_plan_program(self.specification, with_evaluators=False)
         self._index_by_path = {
             module.path: index for index, module in enumerate(self._program.modules)
         }
-        self._results = []
+        results = self._program.results
         self._pending = []
-        for module in self._program.modules:
-            result, pending = cached.get(module.path, (None, 0))
-            self._results.append(result)
+        for index, module in enumerate(self._program.modules):
+            results[index], pending = cached.get(module.path, (None, 0))
             self._pending.append(pending)
         # Slots for newly created modules start unfilled; the worker owning
         # them observed the same structure-epoch bump and re-reports its
         # full shard, so they are filled by this round's deltas.
-        self._unfilled = sum(1 for result in self._results if result is None)
+        self._unfilled = sum(1 for result in results if result is None)
         self._shape_changed = False
         if self._masked_roots:
             # Masked slots carried over by path above; pin any the rebuild
@@ -487,7 +486,7 @@ class _RoundPlanner:
         """Apply summary deltas to the result cache, then run the fused walk."""
         if self._shape_changed:
             self._rebuild_program()
-        results = self._results
+        results = self._program.results
         plan = RoundPlan()
         for path, summary in deltas.items():
             _, transition_name, external, examined, cost, pending = summary
@@ -522,7 +521,7 @@ class _RoundPlanner:
                 "planner round (and the first round after a topology change) "
                 "must cover every module of the owning worker's shard"
             )
-        self._program.walk(results, plan.firings)
+        self._program.shape.walk(self._program, plan.firings)
         return plan
 
     def has_pending(self) -> bool:

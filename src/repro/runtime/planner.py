@@ -14,13 +14,23 @@ processors; this module removes most of it outright:
   the module's own state, variables and queue heads, all of which are
   covered by the tracked mutation points.
 * **Fusion** (:func:`compile_plan_program`) — the scheduler walk and the
-  per-module dispatch are compiled into one generated function per
-  specification: the module tree is flattened into arrays, the parent/child
+  per-module dispatch are compiled into one generated program per tree
+  *shape*: the module tree is flattened into arrays, the parent/child
   precedence walk (parent precedence, process parallelism, activity
   exclusivity) is unrolled into straight-line code, and transition selection
   calls the per-(state, interaction) specialized selectors that
   :mod:`repro.runtime.codegen` emits — no interpreted ``_select_subtree``
   recursion, no strategy dispatch, no per-class cache lookups.
+* **Shape-keyed programs** — the generated text is a function of the tree's
+  shape (per module: class ordinal, ``EXTERNAL``, children-parallel, child
+  count) and of nothing else, and the generated functions are handed the
+  instance they run against instead of closing over it.  Module names and
+  dynamic-child serials never reach the text, so a structure epoch
+  (``init``/``release``) costs a cache lookup, not a codegen: a manager that
+  spawns ``s1#1``, ``s1#2``, … one call after another keeps re-using the
+  few programs its tree shapes map to.  A rebuild also keeps what it knows:
+  the selections of surviving modules are carried over by identity and only
+  newcomers plus the tracker's dirty set are evaluated.
 
 The planner produces :class:`~repro.runtime.scheduler.RoundPlan` objects with
 the *same firing list* (same modules, transitions and order) as a from-scratch
@@ -42,7 +52,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 from ..estelle.dirty import DirtyTracker
 from ..estelle.module import Module
@@ -86,7 +96,7 @@ class PlannerStats:
     evaluated: int = 0
     #: per-module selections served from the previous round's cache.
     reused: int = 0
-    #: whole-program rebuilds forced by module tree changes.
+    #: structure epochs seen (program re-bound to the changed module tree).
     rebuilds: int = 0
 
     @property
@@ -95,26 +105,68 @@ class PlannerStats:
         return self.reused / total if total else 0.0
 
 
+#: One node of a tree shape: (class ordinal in first-seen order, ``EXTERNAL``,
+#: ``attribute.children_parallel``, child count).
+_ShapeNode = Tuple[int, bool, bool, int]
+#: The cache key: the pre-order node sequence (pre-order plus arities pins the
+#: forest) and the constants baked into the evaluators.
+_ShapeKey = Tuple[Tuple[_ShapeNode, ...], float, float, bool]
+
+
+class _PlanShape(NamedTuple):
+    """What one tree shape compiles to, shared by every instance of it."""
+
+    #: the executed text, line by line — no instance data in it.
+    lines: Tuple[str, ...]
+    #: line number -> flat module index, where ``source`` names the path.
+    notes: Dict[int, int]
+    #: None for walk-only shapes (``with_evaluators=False``).
+    evaluate: Optional[Callable[[Sequence[int], "FusedPlanProgram"], None]]
+    walk: Callable[["FusedPlanProgram", List[PlannedFiring]], None]
+
+
 @dataclass
 class FusedPlanProgram:
-    """The generated whole-specification planner for one (static) tree shape.
+    """The whole-specification planner for one instance of one tree shape.
 
-    ``modules`` is the flattened pre-order module array (system modules in
-    declaration order, each followed by its subtree); ``evaluate`` refreshes
-    the results slots of the given flat indices through the inlined per-class
-    selectors; ``walk`` replays the Estelle precedence rules over the results
-    array as unrolled straight-line code, appending
+    ``shape`` holds the generated functions — made once per tree shape and
+    shared by every instance with that shape — so they close over nothing:
+    each call is handed the program it runs against (the ``R`` of the
+    generated text) and reads the instance through it.  ``modules`` is the
+    flattened pre-order module array (system modules in declaration order,
+    each followed by its subtree), ``selectors`` the per-class specialized
+    selectors by class ordinal and ``results`` the per-module result slots.
+    ``shape.evaluate(indices, program)`` refreshes the slots of the given
+    flat indices (``None`` for walk-only programs,
+    ``compile_plan_program(with_evaluators=False)``);
+    ``shape.walk(program, out)`` replays the Estelle precedence rules over
+    the slots as unrolled straight-line code, appending
     :class:`~repro.runtime.scheduler.PlannedFiring` objects in exactly the
     order ``Scheduler.plan_round`` would.
     """
 
     specification: Specification
-    source: str
     modules: Tuple[Module, ...]
     index_of: Dict[Module, int]
-    #: None for walk-only programs (compile_plan_program(with_evaluators=False)).
-    evaluate: Optional[Callable[[Sequence[int], List[Optional[DispatchResult]]], None]]
-    walk: Callable[[List[Optional[DispatchResult]], List[PlannedFiring]], None]
+    #: ``None`` entries are EXTERNAL classes; empty for walk-only programs.
+    selectors: Tuple[Optional[Callable[[Module], Tuple[object, int]]], ...]
+    results: List[Optional[DispatchResult]]
+    shape: _PlanShape
+
+    @property
+    def source(self) -> str:
+        """The shape's text, annotated with this instance's module paths."""
+        notes = self.shape.notes
+        lines = [
+            "# Generated whole-specification round planner for "
+            f"{self.specification.name!r}."
+        ]
+        for number, line in enumerate(self.shape.lines):
+            index = notes.get(number)
+            lines.append(
+                line if index is None else f"{line}  # {self.modules[index].path}"
+            )
+        return "\n".join(lines)
 
 
 def _flatten(specification: Specification) -> Tuple[Module, ...]:
@@ -125,90 +177,183 @@ def _flatten(specification: Specification) -> Tuple[Module, ...]:
     return tuple(modules)
 
 
+def _shape_of(
+    modules: Sequence[Module],
+) -> Tuple[Tuple[_ShapeNode, ...], Tuple[Type[Module], ...]]:
+    """The node sequence of a flattened tree and its classes by ordinal.
+
+    Classes are numbered in first-seen order (and keyed by identity: test
+    suites reuse class names across specs), so two instances of one tree
+    shape get the same nodes whatever their modules are called.
+    """
+    ordinals: Dict[Type[Module], int] = {}
+    nodes = tuple(
+        (
+            ordinals.setdefault(type(module), len(ordinals)),
+            module.EXTERNAL,
+            module.attribute.children_parallel,
+            len(module.children),
+        )
+        for module in modules
+    )
+    return nodes, tuple(ordinals)
+
+
 def _emit_eval(
     lines: List[str],
+    notes: Dict[int, int],
     index: int,
-    module: Module,
-    selector_symbol: Optional[str],
+    node: _ShapeNode,
     scan_cost: float,
     overhead: float,
 ) -> None:
-    lines.append(f"def _eval_{index}(R):  # {module.path}")
-    lines.append(f"    _m = _M[{index}]")
-    if module.EXTERNAL:
+    ordinal, external = node[:2]
+    notes[len(lines)] = index
+    lines.append(f"def _eval_{index}(R):")
+    if external:
         # Hand-coded bodies bypass transition scanning (their readiness is
         # their queue state), exactly like DispatchStrategy._external_result.
-        lines.append(f"    R[{index}] = _DR(None, 0, {overhead!r}, _m.external_ready())")
+        lines.append(
+            f"    R.results[{index}] = "
+            f"_DR(None, 0, {overhead!r}, R.modules[{index}].external_ready())"
+        )
     else:
-        lines.append(f"    _t, _x = {selector_symbol}(_m)")
-        lines.append(f"    R[{index}] = _DR(_t, _x, {overhead!r} + {scan_cost!r} * _x)")
+        lines.append(f"    _t, _x = R.selectors[{ordinal}](R.modules[{index}])")
+        lines.append(
+            f"    R.results[{index}] = _DR(_t, _x, {overhead!r} + {scan_cost!r} * _x)"
+        )
     lines.append("")
 
 
 def _emit_walk_subtree(
     lines: List[str],
-    module: Module,
-    index_of: Dict[Module, int],
+    notes: Dict[int, int],
+    nodes: Sequence[_ShapeNode],
+    index: int,
     depth: int,
     marker_counter: List[int],
-) -> None:
-    """Unroll one subtree of the precedence walk into straight-line code."""
+) -> int:
+    """Unroll the subtree rooted at ``index``; returns the index after it."""
     pad = "    " * depth
-    index = index_of[module]
-    lines.append(f"{pad}r = R[{index}]  # {module.path}")
+    _, _, children_parallel, child_count = nodes[index]
+    notes[len(lines)] = index
+    lines.append(f"{pad}r = _r[{index}]")
     lines.append(f"{pad}if r.transition is not None or r.external:")
     lines.append(f"{pad}    _a(_PF(_M[{index}], r))")
-    children = list(module.children.values())
-    if not children:
-        return
+    index += 1
+    if not child_count:
+        return index
     lines.append(f"{pad}else:")
-    if module.attribute.children_parallel:
-        for child in children:
-            _emit_walk_subtree(lines, child, index_of, depth + 1, marker_counter)
+    if children_parallel:
+        for _ in range(child_count):
+            index = _emit_walk_subtree(
+                lines, notes, nodes, index, depth + 1, marker_counter
+            )
+        return index
+    # activity / systemactivity parent: the first child subtree that
+    # contributes a firing suppresses its remaining siblings.
+    marker = f"_n{marker_counter[0]}"
+    marker_counter[0] += 1
+    lines.append(f"{pad}    {marker} = len(out)")
+    index = _emit_walk_subtree(lines, notes, nodes, index, depth + 1, marker_counter)
+    for _ in range(child_count - 1):
+        lines.append(f"{pad}    if len(out) == {marker}:")
+        index = _emit_walk_subtree(
+            lines, notes, nodes, index, depth + 2, marker_counter
+        )
+    return index
+
+
+def _generate(key: _ShapeKey) -> _PlanShape:
+    """Generate and compile one tree shape's planner.
+
+    The key is all this function sees, so nothing outside it can reach the
+    text: equal keys give byte-identical programs by construction.
+    """
+    nodes, scan_cost, overhead, with_evaluators = key
+    lines: List[str] = [
+        "# R is the FusedPlanProgram the call runs against: R.modules is its",
+        "# flattened pre-order module array, R.selectors its per-class",
+        "# selectors, R.results the per-module result slots.  _eval_<i>",
+        "# refreshes slot i through the inlined per-class selector; _walk",
+        "# unrolls the Estelle precedence rules over the slots.",
+        "",
+    ]
+    notes: Dict[int, int] = {}
+    if with_evaluators:
+        for index, node in enumerate(nodes):
+            _emit_eval(lines, notes, index, node, scan_cost, overhead)
+        lines.append(
+            "_EVAL = ("
+            + ", ".join(f"_eval_{i}" for i in range(len(nodes)))
+            + ("," if nodes else "")
+            + ")"
+        )
+        lines.append("")
+        lines.append("def _evaluate(indices, R):")
+        lines.append("    for _i in indices:")
+        lines.append("        _EVAL[_i](R)")
+        lines.append("")
+    lines.append("def _walk(R, out):")
+    if nodes:
+        lines.append("    _a = out.append")
+        lines.append("    _M = R.modules")
+        lines.append("    _r = R.results")
+        marker_counter = [0]
+        index = 0
+        while index < len(nodes):
+            index = _emit_walk_subtree(lines, notes, nodes, index, 1, marker_counter)
     else:
-        # activity / systemactivity parent: the first child subtree that
-        # contributes a firing suppresses its remaining siblings.
-        marker = f"_n{marker_counter[0]}"
-        marker_counter[0] += 1
-        lines.append(f"{pad}    {marker} = len(out)")
-        _emit_walk_subtree(lines, children[0], index_of, depth + 1, marker_counter)
-        for child in children[1:]:
-            lines.append(f"{pad}    if len(out) == {marker}:")
-            _emit_walk_subtree(lines, child, index_of, depth + 2, marker_counter)
+        lines.append("    pass")
+    lines.append("")
+
+    namespace: Dict[str, object] = {"_DR": DispatchResult, "_PF": PlannedFiring}
+    exec(  # noqa: S102 - same trusted-codegen pattern as repro.runtime.codegen
+        compile("\n".join(lines), "<generated planner>", "exec"), namespace
+    )
+    return _PlanShape(
+        lines=tuple(lines),
+        notes=notes,
+        evaluate=namespace.get("_evaluate"),  # type: ignore[arg-type]
+        walk=namespace["_walk"],  # type: ignore[arg-type]
+    )
 
 
-#: Generated-source -> compiled code object, shared process-wide.  Two
-#: instances of the same specification source have identical tree shapes, so
-#: they generate byte-identical planner source; caching the ``compile()``
-#: step makes the N-th instance's program build O(exec) instead of
-#: O(compile) — the property a multi-session service
-#: (:mod:`repro.serve`) relies on for cheap session spawn.  The cache is a
-#: bounded FIFO: dynamic topology embeds child serial numbers in the source
-#: (``s1#1`` vs ``s1#2`` walk different module paths), so an immortal
-#: churning session would otherwise grow it without bound.
-_PLAN_CODE_CACHE: "OrderedDict[str, object]" = OrderedDict()
+#: Tree shape -> generated planner, shared process-wide.  The program is a
+#: function of the shape key and nothing else — module names, paths and
+#: dynamic-child serials never reach the generated text — so every instance
+#: of a specification, and every ``init``/``release`` epoch that returns a
+#: tree to a shape it has had before (``s1#2`` re-dialling where ``s1#1``
+#: hung up), is a lookup that re-uses the same function objects: no source
+#: generation, no ``compile()``, no ``exec``.  That is what makes session
+#: spawn in :mod:`repro.serve` and call churn inside one session cheap.  The
+#: cache is a bounded FIFO so a process that keeps meeting new shapes cannot
+#: grow it without bound.
+_PLAN_CODE_CACHE: "OrderedDict[_ShapeKey, _PlanShape]" = OrderedDict()
 _PLAN_CODE_CACHE_LIMIT = 256
 _PLAN_CODE_CACHE_HITS = 0
 _PLAN_CODE_CACHE_MISSES = 0
 
 
-def _compiled_code_for(source: str, spec_name: str):
+def _shape_for(key: _ShapeKey) -> _PlanShape:
     global _PLAN_CODE_CACHE_HITS, _PLAN_CODE_CACHE_MISSES
-    code = _PLAN_CODE_CACHE.get(source)
-    if code is None:
+    shape = _PLAN_CODE_CACHE.get(key)
+    if shape is None:
         _PLAN_CODE_CACHE_MISSES += 1
-        code = compile(source, f"<generated planner {spec_name}>", "exec")
-        _PLAN_CODE_CACHE[source] = code
+        shape = _generate(key)
+        _PLAN_CODE_CACHE[key] = shape
         while len(_PLAN_CODE_CACHE) > _PLAN_CODE_CACHE_LIMIT:
             _PLAN_CODE_CACHE.popitem(last=False)
     else:
         _PLAN_CODE_CACHE_HITS += 1
-    return code
+    return shape
 
 
 def plan_code_cache_info() -> Dict[str, int]:
-    """Size and hit/miss history of the shared compile cache.
+    """Size and hit/miss history of the shared shape cache.
 
+    One lookup per program build (every planner construction and every
+    structure epoch); a miss is a shape this process had not generated yet.
     ``hits``/``misses`` are process-lifetime totals (the cache itself is
     process-wide); ``repro.serve`` surfaces them via ``/stats`` and the
     ``repro_planner_code_cache_*`` gauges on ``/metrics``.
@@ -228,7 +373,7 @@ def compile_plan_program(
     dispatch: Optional[GeneratedDispatchStrategy] = None,
     with_evaluators: bool = True,
 ) -> FusedPlanProgram:
-    """Generate and compile the fused planner for the current tree shape.
+    """Bind the current tree to the fused planner of its shape.
 
     ``scan_cost`` / ``overhead`` are baked into the generated evaluation code
     as constants (the modelled selection cost mirrors the generated dispatch
@@ -236,8 +381,8 @@ def compile_plan_program(
     per-class selector cache — the multiprocess worker and the in-process
     executor then share one set of compiled selectors per process.
 
-    ``with_evaluators=False`` emits the fused walk only (``evaluate`` is
-    ``None``) and skips per-class selector compilation entirely — for
+    ``with_evaluators=False`` binds the fused walk only (``shape.evaluate``
+    is ``None``) and skips per-class selector compilation entirely — for
     consumers that refresh the result slots themselves: the interpreted
     (non-fused) planner and the multiprocess coordinator, whose results come
     from the workers.
@@ -246,80 +391,23 @@ def compile_plan_program(
         scan_cost = dispatch.scan_cost
         overhead = dispatch.overhead
     modules = _flatten(specification)
-    index_of = {module: i for i, module in enumerate(modules)}
-
-    # One specialized selector per module *class*, bound as _sel_<j> (classes
-    # are keyed by identity: test suites reuse class names across specs).
-    selector_symbols: Dict[Type[Module], str] = {}
-    namespace: Dict[str, object] = {
-        "_M": modules,
-        "_DR": DispatchResult,
-        "_PF": PlannedFiring,
-    }
+    nodes, classes = _shape_of(modules)
+    shape = _shape_for((nodes, scan_cost, overhead, with_evaluators))
+    selectors: Tuple[Optional[Callable], ...] = ()
     if with_evaluators:
-        for module in modules:
-            cls = type(module)
-            if module.EXTERNAL or cls in selector_symbols:
-                continue
-            symbol = f"_sel_{len(selector_symbols)}"
-            selector_symbols[cls] = symbol
-            compiled = (
-                dispatch.compiled_for(cls)
-                if dispatch is not None
-                else compile_module_class(cls)
-            )
-            namespace[symbol] = compiled.select
-
-    lines: List[str] = [
-        f"# Generated whole-specification round planner for {specification.name!r}.",
-        "# _M is the flattened pre-order module array; R the per-module result",
-        "# slots.  _eval_<i> refreshes slot i through the inlined per-class",
-        "# selector; _walk unrolls the Estelle precedence rules over R.",
-        "",
-    ]
-    if with_evaluators:
-        for index, module in enumerate(modules):
-            _emit_eval(
-                lines,
-                index,
-                module,
-                selector_symbols.get(type(module)),
-                scan_cost,
-                overhead,
-            )
-        lines.append(
-            "_EVAL = ("
-            + ", ".join(f"_eval_{i}" for i in range(len(modules)))
-            + ("," if modules else "")
-            + ")"
+        compiled_for = (
+            dispatch.compiled_for if dispatch is not None else compile_module_class
         )
-        lines.append("")
-        lines.append("def _evaluate(indices, R):")
-        lines.append("    for _i in indices:")
-        lines.append("        _EVAL[_i](R)")
-        lines.append("")
-    lines.append("def _walk(R, out):")
-    if modules:
-        lines.append("    _a = out.append")
-        marker_counter = [0]
-        for system in specification.system_modules():
-            _emit_walk_subtree(lines, system, index_of, 1, marker_counter)
-    else:
-        lines.append("    pass")
-    lines.append("")
-
-    source = "\n".join(lines)
-    exec(  # noqa: S102 - same trusted-codegen pattern as repro.runtime.codegen
-        _compiled_code_for(source, specification.name),
-        namespace,
-    )
+        selectors = tuple(
+            None if cls.EXTERNAL else compiled_for(cls).select for cls in classes
+        )
     return FusedPlanProgram(
         specification=specification,
-        source=source,
         modules=modules,
-        index_of=index_of,
-        evaluate=namespace["_evaluate"] if with_evaluators else None,  # type: ignore[arg-type]
-        walk=namespace["_walk"],  # type: ignore[arg-type]
+        index_of={module: i for i, module in enumerate(modules)},
+        selectors=selectors,
+        results=[None] * len(modules),
+        shape=shape,
     )
 
 
@@ -392,8 +480,9 @@ class IncrementalRoundPlanner:
     the walk fused but re-evaluates through the given interpreted ``dispatch``
     strategy — useful to isolate the two optimisations and for property
     tests.  Module tree changes (``init``/``release``) are detected through
-    the tracker's structure epoch and force a program rebuild plus a full
-    re-evaluation.
+    the tracker's structure epoch: the program is re-bound to the new tree
+    (a shape-cache lookup), surviving modules keep their selections and only
+    the newcomers join the dirty set.
 
     Out-of-band mutations (poking ``module.variables`` between rounds without
     firing a transition) are outside the dirty-tracking contract — call
@@ -420,7 +509,6 @@ class IncrementalRoundPlanner:
         self.clock = clock
         self.stats = PlannerStats()
         self._program: Optional[FusedPlanProgram] = None
-        self._results: List[Optional[DispatchResult]] = []
         self._built_epoch = -1
         self._all_dirty = True
         self.obs = obs if obs is not None else NULL_OBS
@@ -439,7 +527,7 @@ class IncrementalRoundPlanner:
         )
         self._m_rebuilds = registry.counter(
             "repro_planner_rebuilds_total",
-            "Whole-program rebuilds forced by module tree changes.",
+            "Structure epochs seen (program re-bound to the changed tree).",
         )
         # The per-round tallies already live in ``self.stats`` (plain ints,
         # no locks); the registry is synced from them in batches so the hot
@@ -462,29 +550,40 @@ class IncrementalRoundPlanner:
     # -- planning --------------------------------------------------------------------
 
     def _rebuild(self) -> None:
+        previous = self._program
         generated_dispatch = (
             self.dispatch if isinstance(self.dispatch, GeneratedDispatchStrategy) else None
         )
         if self.fused and generated_dispatch is not None:
-            self._program = compile_plan_program(
+            program = compile_plan_program(
                 self.specification, dispatch=generated_dispatch
             )
         else:
             # Interpreted re-evaluation (dispatch.select per dirty module):
-            # only the fused walk is generated, no selectors are compiled.
-            self._program = compile_plan_program(
-                self.specification, with_evaluators=False
-            )
-        self._results = [None] * len(self._program.modules)
+            # only the fused walk is bound, no selectors are compiled.
+            program = compile_plan_program(self.specification, with_evaluators=False)
+        if previous is not None:
+            # A surviving module's selection is still good unless a mutation
+            # point marked it (the firing that ran init/release marked its
+            # own module), so carry it over and queue only the newcomers.
+            survivors = dict(zip(previous.modules, previous.results))
+            results = program.results
+            mark = self.tracker.mark
+            for index, module in enumerate(program.modules):
+                result = survivors.get(module)
+                if result is None:
+                    mark(module)
+                else:
+                    results[index] = result
+        self._program = program
         self._built_epoch = self.tracker.structure_epoch
-        self._all_dirty = True
         self.stats.rebuilds += 1
         self._m_rebuilds.inc()
         self.obs.events.emit(
             "structure_epoch",
             specification=self.specification.name,
             epoch=self._built_epoch,
-            modules=len(self._program.modules),
+            modules=len(program.modules),
         )
 
     @property
@@ -506,7 +605,8 @@ class IncrementalRoundPlanner:
     def plan_round(self) -> RoundPlan:
         """Produce the next round's plan, re-evaluating only dirty modules."""
         program = self.program  # rebuilds on structure changes
-        results = self._results
+        shape = program.shape
+        results = program.results
         if self.clock is not None:
             # The time dimension of the dirty contract: wake modules whose
             # delay deadlines have passed, so their cached "nothing enabled"
@@ -523,8 +623,8 @@ class IncrementalRoundPlanner:
                 index_of[module] for module in dirty if module in index_of
             )
 
-        if program.evaluate is not None:
-            program.evaluate(indices, results)
+        if shape.evaluate is not None:
+            shape.evaluate(indices, program)
         else:
             select = self.dispatch.select
             for i in indices:
@@ -535,7 +635,7 @@ class IncrementalRoundPlanner:
         for i in indices:
             examined_costs[program.modules[i].path] = results[i].cost  # type: ignore[union-attr]
         plan.examined_modules = len(indices)
-        program.walk(results, plan.firings)
+        shape.walk(program, plan.firings)
 
         self.stats.rounds += 1
         self.stats.evaluated += len(indices)

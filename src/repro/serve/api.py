@@ -183,6 +183,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServeHTTPServer"
     protocol_version = "HTTP/1.1"
+    #: Clients are expected to keep their connection alive; with Nagle on, a
+    #: reply written while the previous one is still unacknowledged waits out
+    #: the client's delayed ACK (~40 ms per request).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -218,21 +222,24 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # Status line, headers and body leave as one write (one segment for a
+        # small reply): end_headers() would flush the header block on its own
+        # and put the body in a second small write behind it.
+        self._headers_buffer.append(b"\r\n")
+        head = b"".join(self._headers_buffer)
+        self._headers_buffer = []
+        self.wfile.write(head + body)
 
-    def _payload(self) -> Dict[str, Any]:
+    def _body(self) -> bytes:
         raw = self.headers.get("Content-Length")
         if raw is None:
-            return {}
+            return b""
         try:
             length = int(raw)
         except ValueError:
             raise ServeError(f"invalid Content-Length header {raw!r}") from None
         if length < 0:
             raise ServeError(f"invalid Content-Length header {raw!r}")
-        if length == 0:
-            return {}
         limit = self.server.max_body_bytes
         if limit is not None and length > limit:
             # The body is deliberately left unread: with the cap declared up
@@ -243,9 +250,15 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{limit}-byte limit"
             )
+        return self.rfile.read(length)
+
+    @staticmethod
+    def _payload(body: bytes) -> Dict[str, Any]:
+        if not body:
+            return {}
         try:
-            document = json.loads(self.rfile.read(length).decode("utf-8"))
-        except json.JSONDecodeError as exc:
+            document = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServeError(f"invalid JSON body: {exc}") from None
         if not isinstance(document, dict):
             raise ServeError("request body must be a JSON object")
@@ -254,29 +267,30 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, handler, gated: bool = False) -> None:
         """Run one routed request under the error → status-code mapping.
 
-        ``gated`` routes (the work-creating POSTs) pass the server's
-        admission gate first: if the in-flight limit is reached the request
-        is shed immediately with 429 + ``Retry-After`` — bounded queueing
-        beats unbounded thread pile-up when callers outpace the engine.
+        ``gated`` routes (the work-creating POSTs) carry a body, which
+        ``handler`` receives parsed, and pass the server's admission gate: if
+        the in-flight limit is reached the request is shed with 429 +
+        ``Retry-After`` — bounded queueing beats unbounded thread pile-up
+        when callers outpace the engine.  The body is read *before* the
+        admission decision: a shed request then leaves its keep-alive
+        connection at the next request line, and a client that stalls
+        mid-body waits without holding a gate slot.
         """
-        gate = self.server.gate if gated else None
-        admitted = True
-        if gate is not None:
-            admitted = gate.acquire(blocking=False)
-        if not admitted:
-            self.server.api.note_shed()
-            exc = Overloaded(self.server.retry_after_s)
-            self._note(429)
-            self._reply(
-                429,
-                {"error": str(exc)},
-                headers={"Retry-After": f"{exc.retry_after_s:g}"},
-            )
-            return
+        gate = self.server.gate
+        admitted = False
         headers: Optional[Dict[str, str]] = None
         try:
             try:
-                status, document = handler()
+                if gated:
+                    body = self._body()
+                    if gate is not None:
+                        admitted = gate.acquire(blocking=False)
+                        if not admitted:
+                            self.server.api.note_shed()
+                            raise Overloaded(self.server.retry_after_s)
+                    status, document = handler(self._payload(body))
+                else:
+                    status, document = handler()
             except SessionUnknown as exc:
                 status, document = 404, {"error": str(exc)}
             except StepTimeout as exc:
@@ -299,7 +313,7 @@ class _Handler(BaseHTTPRequestHandler):
             except Exception as exc:  # pragma: no cover - defensive 500
                 status, document = 500, {"error": f"{type(exc).__name__}: {exc}"}
         finally:
-            if gate is not None:
+            if admitted:
                 gate.release()
         self._note(status)
         self._reply(status, document, headers=headers)
@@ -333,7 +347,13 @@ class _Handler(BaseHTTPRequestHandler):
             match = _SESSION_ROUTE.match(parsed.path)
             if match and match.group("verb") == "firings":
                 query = parse_qs(parsed.query)
-                since = int(query.get("since", ["0"])[0])
+                raw_since = query.get("since", ["0"])[0]
+                try:
+                    since = int(raw_since)
+                except ValueError:
+                    raise ServeError(
+                        f"'since' must be an integer cursor, got {raw_since!r}"
+                    ) from None
                 return 200, api.firings(match.group("sid"), since)
             if match and match.group("verb") is None:
                 return 200, api.health(match.group("sid"))
@@ -345,8 +365,7 @@ class _Handler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         api = self.server.api
 
-        def handle() -> Tuple[int, Dict[str, Any]]:
-            payload = self._payload()
+        def handle(payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
             if parsed.path == "/sessions":
                 return 201, api.create_session(payload)
             match = _SESSION_ROUTE.match(parsed.path)
@@ -382,6 +401,9 @@ class ServeHTTPServer(ThreadingHTTPServer):
       disables the gate; ``0`` sheds every POST (useful in tests).
     * ``max_body_bytes`` — requests declaring a larger body are refused
       with 413 before the body is read.  ``None`` disables the cap.
+
+    A body within the cap is read before the admission decision, so a shed
+    request leaves its keep-alive connection in sync.
     """
 
     daemon_threads = True

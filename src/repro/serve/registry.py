@@ -15,9 +15,10 @@ Sharing cascades through every per-class compiled artefact:
 * the code generator's specialized dispatch selectors —
   :meth:`CompiledSpec.dispatch_for` hands out one strategy instance per
   dispatch name whose per-class cache is shared by every session,
-* the fused planner's compiled code objects
-  (:data:`repro.runtime.planner._PLAN_CODE_CACHE` keys by generated
-  source, which is identical across instances of one tree shape).
+* the fused planner's generated functions
+  (:data:`repro.runtime.planner._PLAN_CODE_CACHE` keys by tree shape, so
+  every instance of a source — and every call a session places — binds to
+  the same program).
 
 Keys are SHA-256 hashes of the *source text* (files are read and keyed by
 content, so the same protocol reached through a path and through inline

@@ -31,6 +31,7 @@ from repro.runtime import (
     dispatch_by_name,
 )
 from repro.runtime.parallel import trace_diff
+from repro.runtime.planner import _generate, _shape_of, plan_code_cache_info
 from repro.sim import Cluster, Machine
 
 SPEC_DIR = Path(__file__).parent.parent / "examples" / "specs"
@@ -194,7 +195,110 @@ class TestFusedPlanProgram:
         )
 
 
+def _uncommented(source: str) -> str:
+    """Generated text with the header and the per-instance path notes cut."""
+    return "\n".join(
+        line.split("  # ")[0] for line in source.split("\n")[1:]
+    )
+
+
+class TestShapeKeyedPrograms:
+    def test_equal_shapes_with_different_serials_share_one_entry(self):
+        spec = ticker_spec(count=2, tokens=0)
+        parent = spec.find("t0")
+        parent.create_child(ChildTicker, "s1#1", tokens=1)
+        first = compile_plan_program(spec)
+        parent.release_child("s1#1")
+        parent.create_child(ChildTicker, "s1#2", tokens=1)
+        before = plan_code_cache_info()
+        second = compile_plan_program(spec)
+        after = plan_code_cache_info()
+        # A hit hands out the very same function objects: nothing was
+        # generated, compiled or exec'd for the re-dialled child.
+        assert second.shape is first.shape
+        assert (after["hits"], after["misses"]) == (before["hits"] + 1, before["misses"])
+        assert "tickers/t0/s1#1" in first.source
+        assert "tickers/t0/s1#2" in second.source and "s1#1" not in second.source
+        # ... and each runs against its own modules, not the first instance's.
+        plan = []
+        second.shape.evaluate(range(len(second.modules)), second)
+        second.shape.walk(second, plan)
+        assert [firing.module.path for firing in plan] == ["tickers/t0/s1#2"]
+
+    def test_different_shapes_never_share_an_entry(self):
+        def program(build):
+            spec = ticker_spec(count=2, tokens=0)
+            build(spec)
+            return compile_plan_program(spec)
+
+        flat = program(lambda spec: None)
+        under_t0 = program(lambda spec: spec.find("t0").create_child(ChildTicker, "c"))
+        under_t1 = program(lambda spec: spec.find("t1").create_child(ChildTicker, "c"))
+        walk_only = compile_plan_program(ticker_spec(count=2, tokens=0), with_evaluators=False)
+        programs = (flat, under_t0, under_t1, walk_only)
+        assert len({id(p.shape) for p in programs}) == len(programs)
+        assert len({_uncommented(p.source) for p in programs}) == len(programs)
+
+    def test_the_key_determines_the_generated_text(self):
+        """The text is generated from the key alone; what an instance shows
+        as ``source`` is that text plus its own paths, nothing else."""
+        for spec_name in ("mcam_sessions.estelle", "osi_transfer.estelle"):
+            spec = SpecSource.from_estelle_file(SPEC_DIR / spec_name).build()
+            program = compile_plan_program(spec)
+            nodes, _ = _shape_of(program.modules)
+            regenerated = _generate((nodes, 0.08, 0.15, True))
+            assert regenerated is not program.shape  # built apart from the cache
+            assert "\n".join(regenerated.lines) == _uncommented(program.source)
+            assert spec.name not in "\n".join(regenerated.lines)
+            assert not any(module.name in line for module in program.modules
+                           for line in regenerated.lines)
+
+    def test_call_churn_compiles_a_constant_number_of_programs(self):
+        """``mcam_sessions`` inits and releases a handler per call: however
+        many calls one executor serves, the tree only ever takes the shapes
+        {no call, s1, s2, both}, so at most four programs are generated."""
+        from repro.runtime import SpecificationExecutor
+
+        text = (SPEC_DIR / "mcam_sessions.estelle").read_text()
+        for name, calls in (("alice", 12), ("bob", 10)):
+            anchor = f'with calls_wanted := {2 if name == "alice" else 1} ;'
+            assert text.count(anchor) == 1
+            text = text.replace(anchor, f"with calls_wanted := {calls} ;")
+        cluster = Cluster()
+        for machine in ("ksr1", "client-ws-1", "client-ws-2"):
+            cluster.add(Machine(machine, 1))
+        executor = SpecificationExecutor(
+            SpecSource.from_estelle_text(text).build(),
+            cluster,
+            dispatch=dispatch_by_name("planner"),
+        )
+        before = plan_code_cache_info()
+        executor.run()
+        after = plan_code_cache_info()
+        stats = executor.planner.stats
+        assert stats.rebuilds >= 2 * 22  # an init and a release per call
+        lookups = (after["hits"] + after["misses"]) - (before["hits"] + before["misses"])
+        assert lookups == stats.rebuilds
+        assert after["misses"] - before["misses"] <= 4
+
+
 class TestIncrementalRoundPlanner:
+    def test_structure_epoch_keeps_surviving_selections(self):
+        spec = ticker_spec(count=4, tokens=0)
+        planner = IncrementalRoundPlanner(spec)
+        planner.plan_round()
+        kept = {m: planner.program.results[i] for i, m in enumerate(planner.program.modules)}
+        evaluated = planner.stats.evaluated
+        spec.find("t0").create_child(ChildTicker, "late", tokens=1)
+        plan = planner.plan_round()
+        assert firing_pairs(plan) == [("tickers/t0/late", "tick")]
+        # Only the parent the structure hook marked and the newcomer ran.
+        assert planner.stats.evaluated == evaluated + 2
+        program = planner.program
+        for module in ("t1", "t2", "t3"):
+            survivor = spec.find(module)
+            assert program.results[program.index_of[survivor]] is kept[survivor]
+
     def test_reuses_clean_selections(self):
         spec = ticker_spec(count=5, tokens=0)
         driver = spec.find("t0")

@@ -321,9 +321,16 @@ class TestSchedulerSelectionProperty:
         rebuilt its fused program exactly once per observed structure-epoch
         bump — ``stats.rebuilds == structure_epoch + 1`` (the +1 is the
         initial program build), which holds because this sweep performs at
-        most one topology change between consecutive plans."""
+        most one topology change between consecutive plans.
+
+        ISSUE 12: a rebuild carries the surviving modules' selections over,
+        so the plan after an epoch re-evaluates exactly the modules a tracked
+        mutation point touched plus the newcomers — (c) ``stats.evaluated``
+        grows by that count, which is below the module count whenever an
+        untouched module survived."""
         total_creates = 0
         total_releases = 0
+        epochs_with_carry_over = 0
         for seed in range(8):
             spec_rescan = build_random_tree(seed)
             spec_fused = build_random_tree(seed)
@@ -334,10 +341,23 @@ class TestSchedulerSelectionProperty:
             dynamic: list = []  # (parent path, child name) of live dynamic kids
             child_counter = 0
             topology_changes = 0
+            # Paths the mutations since the previous plan touched (None
+            # before the first plan, which evaluates everything).
+            touched = None
+            changed = False
 
             for round_index in range(120):
                 rescan = scheduler.plan_round(spec_rescan, dispatch)
+                evaluated_before = fused.stats.evaluated
                 plan = fused.plan_round()
+                if touched is not None:
+                    evaluated = fused.stats.evaluated - evaluated_before
+                    assert evaluated == len(touched), (
+                        f"seed {seed}, round {round_index}: evaluated "
+                        f"{evaluated} modules, mutations touched {sorted(touched)}"
+                    )
+                    if changed and evaluated < len(fused.program.modules):
+                        epochs_with_carry_over += 1
                 reference = [
                     (f.module.path, f.result.transition.name)
                     for f in rescan.firings
@@ -357,10 +377,13 @@ class TestSchedulerSelectionProperty:
                 if not reference and not dynamic:
                     break
                 # Fire a random non-empty subset of the plan on both replicas.
+                touched = set()
+                changed = False
                 if reference:
                     subset = [p for p in reference if rng.random() < 0.5] or [
                         rng.choice(reference)
                     ]
+                    touched.update(path for path, _ in subset)
                     for spec in (spec_rescan, spec_fused):
                         for path, transition_name in subset:
                             module = spec.find(path)
@@ -387,6 +410,8 @@ class TestSchedulerSelectionProperty:
                         )
                     dynamic.append((parent_path, name))
                     total_creates += 1
+                    touched.update((parent_path, f"{parent_path}/{name}"))
+                    changed = True
                 elif roll < 0.45 and dynamic:
                     parent_path, name = dynamic.pop(
                         rng.randrange(len(dynamic))
@@ -404,6 +429,13 @@ class TestSchedulerSelectionProperty:
                     total_releases += 1
                     for spec in (spec_rescan, spec_fused):
                         spec.find(parent_path).release_child(name)
+                    touched = {
+                        path
+                        for path in touched
+                        if path != released_root
+                        and not path.startswith(released_root + "/")
+                    } | {parent_path}
+                    changed = True
 
             assert topology_changes > 0, f"seed {seed} never changed topology"
 
@@ -413,6 +445,7 @@ class TestSchedulerSelectionProperty:
             total_creates,
             total_releases,
         )
+        assert epochs_with_carry_over > 0
 
     def test_priority_order_respected_within_a_module(self):
         """While bonus tokens remain, bonus_tick (priority -1) must win."""

@@ -2,10 +2,18 @@
 
 The HTTP tests boot a real :class:`~repro.serve.api.ServeHTTPServer` on an
 ephemeral loopback port and talk to it with :mod:`urllib` — no extra
-dependencies, same wire format the compose deployment serves.
+dependencies, same wire format the compose deployment serves.  ``urllib``
+opens one connection per request; :class:`TestKeepAlive` drives the front the
+way its clients are expected to, many requests down one
+:class:`http.client.HTTPConnection`.
 """
 
+import contextlib
+import http.client
 import json
+import socket
+import statistics
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -73,9 +81,9 @@ class TestServeAPI:
             json.dumps(document)  # raises on anything non-serialisable
 
 
-@pytest.fixture()
-def http_server():
-    server = make_http_server(port=0)
+@contextlib.contextmanager
+def serving(**options):
+    server = make_http_server(port=0, **options)
     server.serve_in_background()
     try:
         yield server
@@ -83,6 +91,12 @@ def http_server():
         server.shutdown()
         server.api.engine.shutdown()
         server.server_close()
+
+
+@pytest.fixture()
+def http_server():
+    with serving() as server:
+        yield server
 
 
 def request(server, method: str, path: str, payload=None):
@@ -198,3 +212,103 @@ class TestHTTPFront:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=10)
         assert excinfo.value.code == 400
+
+
+class KeepAliveClient:
+    """One persistent connection (client ``TCP_NODELAY`` set), JSON both ways."""
+
+    def __init__(self, server):
+        self.connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        self.connection.connect()
+        self.socket = self.connection.sock
+        self.socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def request(self, method: str, path: str, payload=None):
+        body = None if payload is None else json.dumps(payload).encode()
+        self.connection.request(
+            method, path, body=body,
+            headers={"Content-Type": "application/json"} if body else {},
+        )
+        response = self.connection.getresponse()
+        raw = response.read()
+        assert response.getheader("Content-Type") == "application/json", raw
+        # http.client re-dials silently when the server hung up; every reply
+        # here must have come down the connection the test opened.
+        assert self.connection.sock is self.socket, "server closed the connection"
+        return response.status, json.loads(raw)
+
+    def close(self):
+        self.connection.close()
+
+
+@pytest.fixture()
+def client(http_server):
+    keep_alive = KeepAliveClient(http_server)
+    try:
+        yield keep_alive
+    finally:
+        keep_alive.close()
+
+
+class TestKeepAlive:
+    def test_requests_on_one_connection_do_not_wait_out_a_delayed_ack(self, client):
+        seconds = []
+        for _ in range(20):
+            started = time.perf_counter()
+            status, _ = client.request("GET", "/healthz")
+            seconds.append(time.perf_counter() - started)
+            assert status == 200
+        # A reply sent as two small writes with Nagle on reads ~44 ms here.
+        assert statistics.median(seconds) < 0.010, seconds
+
+    def test_full_lifecycle_on_one_connection(self, client):
+        status, created = client.request("POST", "/sessions", {"spec_path": str(MCAM_SPEC)})
+        assert status == 201
+        sid = created["session_id"]
+        status, health = client.request("POST", f"/sessions/{sid}/step", {"rounds": 10000})
+        assert status == 200 and health["stop_reason"] == "quiescent"
+        status, firings = client.request("GET", f"/sessions/{sid}/firings?since=0")
+        assert status == 200 and firings["cursor"] == len(firings["events"]) > 0
+        status, _ = client.request("GET", f"/sessions/{sid}/firings?since={10**9}")
+        assert status == 400
+        status, _ = client.request("DELETE", f"/sessions/{sid}")
+        assert status == 200
+        status, listing = client.request("GET", "/sessions")
+        assert status == 200 and listing["sessions"] == []
+
+    def test_non_integer_cursor_is_400(self, client):
+        _, created = client.request("POST", "/sessions", {"spec_text": ECHO_SPEC})
+        status, body = client.request(
+            "GET", f"/sessions/{created['session_id']}/firings?since=abc"
+        )
+        assert status == 400
+        assert "'since'" in body["error"]
+
+    def test_shed_request_leaves_the_connection_in_sync(self):
+        with serving(max_inflight=0) as server:
+            client = KeepAliveClient(server)
+            try:
+                status, body = client.request("POST", "/sessions", {"spec_text": ECHO_SPEC})
+                assert status == 429 and "in-flight" in body["error"]
+                # The shed POST's body must not be parsed as the next request.
+                status, body = client.request("GET", "/healthz")
+                assert status == 200 and body["status"] == "ok"
+            finally:
+                client.close()
+
+    def test_stalled_body_holds_no_admission_slot(self):
+        with serving(max_inflight=1) as server:
+            stalled = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+            client = KeepAliveClient(server)
+            try:
+                stalled.sendall(
+                    b"POST /sessions HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Type: application/json\r\nContent-Length: 4096\r\n\r\n"
+                    b'{"spec_text": "'
+                )
+                time.sleep(0.2)  # let the server reach the body read
+                status, created = client.request("POST", "/sessions", {"spec_text": ECHO_SPEC})
+                assert status == 201, created
+            finally:
+                client.close()
+                stalled.close()
