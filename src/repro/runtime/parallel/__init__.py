@@ -3,8 +3,8 @@
 The in-process executor (:mod:`repro.runtime.executor`) *models* the paper's
 decentralised runtime; this package *runs* it: each execution unit of the
 mapping becomes an OS worker process executing its own scheduler shard, and
-interactions cross unit boundaries over batched, order-preserving
-multiprocessing channels with a barrier per computation step.
+interactions cross unit boundaries over batched, order-preserving,
+round-tagged transport links.
 
 Pieces:
 

@@ -5,8 +5,8 @@ paper's decentralised runtime (charging selection and firing costs to
 simulated processors), this backend *is* one: every execution unit of the
 mapping runs in its own worker process, transition selection over a unit's
 modules happens concurrently across workers, and interactions cross unit
-boundaries through batched multiprocessing channels with a barrier per
-computation step.
+boundaries through batched, round-tagged transport links; one pipe lane
+per worker carries the coordinator's commands and the worker's results.
 
 The coordinator keeps the one job that is inherently global and cheap — the
 Estelle precedence walk.  Workers report per-module selection results; the
@@ -27,8 +27,18 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import time
-from queue import Empty
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ...estelle.errors import SchedulingError
 from ...estelle.specification import Specification
@@ -100,18 +110,228 @@ class ParallelExecutionError(SchedulingError):
     """A worker died, timed out, or violated the round protocol."""
 
 
+class _Lane(NamedTuple):
+    """One worker's control pipes: commands down, results up.
+
+    Two one-way pipes rather than one duplex ``Pipe()``: the duplex kind is
+    a socketpair, and its wake-ups cost the strict round loop an eighth
+    more wall time (one op of the ruler's ``mesh_strict``: 519–530 ms
+    against 460–465) for the two descriptors it saves.
+    """
+
+    commands: Any  # the coordinator writes
+    results: Any  # the coordinator reads
+    worker_commands: Any  # the worker reads
+    worker_results: Any  # the worker writes
+
+
+class _ControlPlane:
+    """The mesh's one control mechanism: a pipe lane per worker.
+
+    Commands go down a unit's lane, results ``(kind, round, payload)`` come
+    back up it, and :meth:`gather` waits on every lane *and every worker's
+    process sentinel* at once, so a death wakes the coordinator as promptly
+    as a result does.  The coordinator keeps the worker's ends open too: a
+    worker's exit therefore never reads as end-of-file, and the replacement
+    of a crashed worker inherits the lane together with whatever commands
+    its predecessor left unread.
+
+    Barrier units answer in lockstep, so anything other than the awaited
+    ``(kind, round)`` is a protocol violation.  Relaxed units stream
+    ``lround``/``window_done`` at their own pace; those are kept per unit,
+    in arrival order, until a later gather asks for them — and every gather
+    reads every lane, so a streaming unit can never fill its pipe and stall.
+    """
+
+    _STREAMED = frozenset({"lround", "window_done"})
+
+    def __init__(self, ctx, timeout_s: float) -> None:
+        # Imported here, not at module level: every in-process user of
+        # repro.runtime imports this module, and would carry it for nothing.
+        from multiprocessing.connection import wait
+
+        self._wait = wait
+        self._ctx = ctx
+        self._timeout_s = timeout_s
+        self.processes: Dict[int, Any] = {}
+        self._lanes: Dict[int, _Lane] = {}
+        self._streamed: Dict[int, Deque[Tuple[str, int, Any]]] = {}
+        self._replaced: set = set()  # respawned units whose "ready" is due
+
+    def spawn(
+        self, uid: int, config: WorkerConfig, endpoint, name: str
+    ) -> None:
+        """Start (or, on a known ``uid``, replace) the unit's worker."""
+        if uid in self._lanes:
+            self._replaced.add(uid)
+        else:
+            worker_commands, commands = self._ctx.Pipe(duplex=False)
+            results, worker_results = self._ctx.Pipe(duplex=False)
+            self._lanes[uid] = _Lane(
+                commands, results, worker_commands, worker_results
+            )
+            self._streamed[uid] = deque()
+        lane = self._lanes[uid]
+        process = self._ctx.Process(
+            target=worker_main,
+            args=(config, lane.worker_commands, lane.worker_results, endpoint),
+            daemon=True,
+            name=name,
+        )
+        self.processes[uid] = process
+        process.start()
+
+    # A pipe write blocks once the pipe is full, so the coordinator must
+    # never send while a worker can be blocked sending to it.  Barrier units
+    # are in lockstep: they are reading when we write.  A relaxed unit may
+    # well be mid-stream, but all it is ever sent — run_rounds, reconnect,
+    # stop — is tens of bytes a window, far below a pipe buffer.
+    def send(self, uid: int, command: Tuple) -> None:
+        self._lanes[uid].commands.send(command)
+
+    def broadcast(self, command: Tuple) -> None:
+        for uid in self._lanes:
+            self.send(uid, command)
+
+    def gather(
+        self,
+        kind: str,
+        round_index: int,
+        uids: Iterable[int],
+        recover: Optional[Callable[[int], None]] = None,
+    ) -> Dict[int, Any]:
+        """Exactly one ``kind`` payload per unit in ``uids`` for ``round_index``.
+
+        An ``error`` result from any worker aborts the run with that
+        worker's traceback.  A worker that exits is noticed at once; its
+        lane is drained first, so a result written just before the exit
+        still counts.  Without ``recover`` the death aborts the run, naming
+        the exit code and the units still owed (as a timeout does); with it
+        (the supervised select) ``recover(uid)`` respawns the worker and
+        re-issues its command, the replacement's ``ready`` is skipped, and
+        the ``round_timeout_s`` deadline restarts.
+        """
+        owed = tuple(uids)
+        collected: Dict[int, Any] = {}
+
+        def accept(uid: int, message: Tuple[str, int, Any]) -> None:
+            got_kind, got_round, payload = message
+            if got_kind == "error":
+                raise ParallelExecutionError(
+                    f"worker for unit {uid} failed:\n{payload}"
+                )
+            if got_kind == "ready" and uid in self._replaced:
+                self._replaced.discard(uid)  # a respawned replacement booting
+            elif got_kind == kind and got_round == round_index and uid in owed:
+                if uid in collected:
+                    raise ParallelExecutionError(
+                        f"unit {uid} reported {kind!r} twice for round {round_index}"
+                    )
+                collected[uid] = payload
+            elif got_kind in self._STREAMED and (
+                uid not in owed or uid in collected
+            ):
+                self._streamed[uid].append(message)
+            else:
+                raise ParallelExecutionError(
+                    f"protocol violation: expected {kind!r} for round "
+                    f"{round_index}, unit {uid} sent {got_kind!r} for round "
+                    f"{got_round}"
+                )
+
+        def still_owed() -> str:
+            names = ", ".join(
+                f"unit {uid} ({self.processes[uid].name})"
+                for uid in owed
+                if uid not in collected
+            )
+            return (
+                f"{kind!r} of round {round_index}: still owed by "
+                f"{names or 'nobody'} ({len(collected)}/{len(owed)} units reported)"
+            )
+
+        for uid in owed:
+            if self._streamed[uid]:
+                accept(uid, self._streamed[uid].popleft())
+        deadline = time.perf_counter() + self._timeout_s
+        while len(collected) < len(owed):
+            lanes = {lane.results: uid for uid, lane in self._lanes.items()}
+            sentinels = {
+                process.sentinel: uid for uid, process in self.processes.items()
+            }
+            ready = self._wait(
+                [*lanes, *sentinels], max(deadline - time.perf_counter(), 0.0)
+            )
+            if not ready:
+                raise ParallelExecutionError(
+                    f"timed out after {self._timeout_s:g}s waiting for {still_owed()}"
+                )
+            for results in ready:
+                if results in lanes:
+                    accept(lanes[results], results.recv())
+            for uid in sorted(sentinels[s] for s in ready if s in sentinels):
+                results = self._lanes[uid].results
+                while results.poll():
+                    accept(uid, results.recv())
+                if len(collected) == len(owed):
+                    # It reported before it died, and nothing else is owed:
+                    # the next gather meets the death, at once.
+                    return collected
+                process = self.processes[uid]
+                process.join(timeout=1.0)  # reap, so the exit code is known
+                if recover is None:
+                    raise ParallelExecutionError(
+                        f"worker {process.name} (unit {uid}) died with exit "
+                        f"code {process.exitcode} while the coordinator "
+                        f"waited for {still_owed()}"
+                        + (
+                            "; when using the spawn start method the driving "
+                            "script must be importable (a real file with an "
+                            "'if __name__ == \"__main__\"' guard, not stdin)"
+                            if kind == "ready"
+                            else ""
+                        )
+                    )
+                recover(uid)
+                collected.pop(uid, None)  # the replacement answers afresh
+                deadline = time.perf_counter() + self._timeout_s
+        return collected
+
+    def shutdown(self) -> None:
+        """Stop every worker (escalating to SIGKILL) and close the lanes."""
+        self.broadcast(("stop",))
+        processes = self.processes.values()
+        for process in processes:
+            if process.is_alive():
+                process.join(timeout=5.0)
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=5.0)
+        # Escalate: a worker wedged in uninterruptible I/O can shrug off
+        # SIGTERM; SIGKILL cannot be ignored, so teardown can never hang on
+        # a stuck worker.
+        for process in processes:
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=5.0)
+        for lane in self._lanes.values():
+            for end in lane:
+                end.close()
+
+
 class _Supervisor:
     """Crash-recovery state for one supervised run.
 
     Workers ship a round-boundary checkpoint of their owned shard with
-    every fired reply; when the liveness check finds a worker dead during
-    a *select* gather, :meth:`respawn` starts a replacement process seeded
-    with the last checkpoint (``WorkerConfig.restore``) and re-issues the
-    select it consumed — the round then completes as if the crash never
-    happened, which the chaos suite pins with byte-identical traces.
+    every fired reply; when a *select* gather finds a worker dead,
+    :meth:`respawn` starts a replacement process seeded with the last
+    checkpoint (``WorkerConfig.restore``) and re-issues the select it
+    consumed — the round then completes as if the crash never happened,
+    which the chaos suite pins with byte-identical traces.
 
     A death during the *fire* phase is not recoverable: the crashed worker
-    may have flushed some batches and breaks the round barrier, so the run
+    may have flushed some of the round's batches and not others, so the run
     still fails fast with :class:`ParallelExecutionError`.
     """
 
@@ -121,21 +341,13 @@ class _Supervisor:
 
     def __init__(
         self,
-        ctx,
         transport: Transport,
-        barrier,
-        result_queue,
-        command_queues: Dict[int, Any],
-        processes: Dict[int, Any],
+        control: _ControlPlane,
         configs: Dict[int, WorkerConfig],
         obs: Observability,
     ) -> None:
-        self.ctx = ctx
         self.transport = transport
-        self.barrier = barrier
-        self.result_queue = result_queue
-        self.command_queues = command_queues
-        self.processes = processes
+        self.control = control
         self.configs = configs
         self.obs = obs
         self.checkpoints: Dict[int, Any] = {}
@@ -167,7 +379,7 @@ class _Supervisor:
                 "giving up on recovery"
             )
         self._respawns[uid] = count
-        exitcode = self.processes[uid].exitcode
+        exitcode = self.control.processes[uid].exitcode
         self._m_crashes.inc()
         self.obs.events.emit(
             "worker_crash", unit=uid, round_index=round_index, exitcode=exitcode
@@ -186,21 +398,12 @@ class _Supervisor:
         # A fresh endpoint from the transport: mp-queue re-wraps the shared
         # (surviving) queues; tcp re-dups the unit's still-bound listener so
         # peers' redials land on the replacement.
-        endpoint = self.transport.endpoint_for(uid)
-        process = self.ctx.Process(
-            target=worker_main,
-            args=(
-                config,
-                self.command_queues[uid],
-                self.result_queue,
-                endpoint,
-                self.barrier,
-            ),
-            daemon=True,
-            name=f"estelle-unit-{uid}-respawn{count}",
+        self.control.spawn(
+            uid,
+            config,
+            self.transport.endpoint_for(uid),
+            f"estelle-unit-{uid}-respawn{count}",
         )
-        self.processes[uid] = process
-        process.start()
         # Tell every unit holding a link into the crashed one to redial it
         # and re-send its retransmit slot (the replacement needs the round's
         # inbound batches, which on connection-oriented transports died with
@@ -209,11 +412,11 @@ class _Supervisor:
         # always precedes its next flush.
         for sender in self.transport.senders_to(uid):
             if sender != uid:
-                self.command_queues[sender].put(("reconnect", uid))
+                self.control.send(sender, ("reconnect", uid))
         # Re-issue the select the dead worker consumed; the replacement
         # answers it right after rebuilding + restoring its shard (its
-        # "ready" is tolerated and skipped by the supervised gather).
-        self.command_queues[uid].put(("select", round_index, now))
+        # "ready" is skipped by the gather).
+        self.control.send(uid, ("select", round_index, now))
         self.recoveries += 1
         self._m_recoveries.inc()
         self.obs.events.emit(
@@ -222,81 +425,6 @@ class _Supervisor:
             round_index=round_index,
             from_round=checkpoint.round_index if checkpoint is not None else 0,
         )
-
-
-class _ResultCollector:
-    """Kind-aware gather over the shared result queue (relaxed-barrier runs).
-
-    With the barrier relaxed, relaxed units stream ``lround`` results at
-    their own pace while barrier units answer selects and fires round by
-    round — results therefore interleave arbitrarily on the single result
-    queue.  The collector buffers everything it was not asked for and serves
-    later requests from the buffer first; a unit's own results stay in the
-    order it queued them.
-    """
-
-    def __init__(
-        self, result_queue, processes: Dict[int, Any], timeout_s: float
-    ) -> None:
-        self._queue = result_queue
-        self._processes = processes
-        self._timeout_s = timeout_s
-        self._buffered: List[Tuple[int, str, int, Any]] = []
-
-    def collect(self, kind: str, round_index: int, uids) -> Dict[int, Any]:
-        """One ``kind`` payload per unit in ``uids`` for ``round_index``."""
-        expected = set(uids)
-        collected: Dict[int, Any] = {}
-        kept: List[Tuple[int, str, int, Any]] = []
-        for item in self._buffered:
-            uid, got_kind, got_round, payload = item
-            if (
-                got_kind == kind
-                and got_round == round_index
-                and uid in expected
-                and uid not in collected
-            ):
-                collected[uid] = payload
-            else:
-                kept.append(item)
-        self._buffered = kept
-        deadline = time.perf_counter() + self._timeout_s
-        while len(collected) < len(expected):
-            try:
-                uid, got_kind, got_round, payload = self._queue.get(timeout=1.0)
-            except Empty:
-                dead = [
-                    process.name
-                    for process in self._processes.values()
-                    if not process.is_alive()
-                    and process.exitcode not in (0, None)
-                ]
-                if dead:
-                    raise ParallelExecutionError(
-                        f"worker(s) {', '.join(dead)} died without reporting "
-                        f"(waiting for {kind!r} of round {round_index})"
-                    ) from None
-                if time.perf_counter() >= deadline:
-                    raise ParallelExecutionError(
-                        f"timed out waiting for {kind!r} results of round "
-                        f"{round_index} ({len(collected)}/{len(expected)} "
-                        "units reported)"
-                    ) from None
-                continue
-            if got_kind == "error":
-                raise ParallelExecutionError(
-                    f"worker for unit {uid} failed:\n{payload}"
-                )
-            if got_kind == kind and got_round == round_index and uid in expected:
-                if uid in collected:
-                    raise ParallelExecutionError(
-                        f"unit {uid} reported {kind!r} twice for round "
-                        f"{round_index}"
-                    )
-                collected[uid] = payload
-            else:
-                self._buffered.append((uid, got_kind, got_round, payload))
-        return collected
 
 
 class PrecomputedDispatch(DispatchStrategy):
@@ -555,14 +683,14 @@ class MultiprocessBackend(ExecutionBackend):
     original multiprocessing queues) or ``"tcp"`` (length-prefixed socket
     streams with an address-based peer table).  ``transport_options`` are
     forwarded to the transport's constructor (e.g. ``host``/``base_port``
-    for tcp).  The control plane — command/result queues and the round
-    barrier — stays on multiprocessing primitives for every transport;
+    for tcp).  The control plane is one duplex pipe per worker (see
+    :class:`_ControlPlane`) plus process spawning, whatever the transport;
     only the data plane is transport-pluggable.
 
     ``relax_barrier`` enables decentralised conservative time management:
     execution units that wholly own their system subtrees and declare no
     delay transitions run windows of ``lookahead_rounds`` rounds locally —
-    no global round barrier, no per-round coordinator fold — streaming
+    no per-round coordinator round trips, no per-round coordinator fold — streaming
     per-round summaries the coordinator folds asynchronously, in
     (round, declaration) order, into the very same canonical trace the
     strict protocol produces.  Units that share a system subtree or carry
@@ -689,138 +817,71 @@ class MultiprocessBackend(ExecutionBackend):
         ctx = multiprocessing.get_context(self.start_method)
         transport = transport_by_name(self.transport, **self.transport_options)
         transport.open(ctx, [unit.uid for unit in units], pairs=pairs)
-        # Only barrier units meet at the round barrier; relaxed units are
-        # paced per-link by the mesh's round tags instead.
-        barrier = ctx.Barrier(max(1, len(barrier_units)))
-        result_queue = ctx.Queue()
-        command_queues: Dict[int, Any] = {}
-        processes: Dict[int, Any] = {}
-        configs: Dict[int, WorkerConfig] = {}
-        for unit in units:
-            endpoint = transport.endpoint_for(unit.uid)
-            command_queue = ctx.Queue()
-            command_queues[unit.uid] = command_queue
-            config = WorkerConfig(
-                source=source,
-                unit_uid=unit.uid,
-                units=units,
-                dispatch_name=dispatch,
-                dispatch_kwargs=tuple(sorted((dispatch_kwargs or {}).items())),
-                transition_cost_scale=cost_scale,
-                busy_work_us_per_cost=busy_work_us_per_cost,
-                channel_timeout_s=self.round_timeout_s,
-                crash_rounds=(
-                    tuple(sorted(fault_plan.crash_rounds_for(unit.uid)))
-                    if fault_plan is not None
-                    else ()
-                ),
-                send_delays=(
-                    fault_plan.send_delays_for(unit.uid)
-                    if fault_plan is not None
-                    else ()
-                ),
-                checkpoint=supervised,
-                relaxed=unit.uid in relaxed_uids,
-            )
-            configs[unit.uid] = config
-            process = ctx.Process(
-                target=worker_main,
-                args=(config, command_queue, result_queue, endpoint, barrier),
-                daemon=True,
-                name=f"estelle-unit-{unit.uid}",
-            )
-            processes[unit.uid] = process
-        supervisor = (
-            _Supervisor(
-                ctx,
-                transport,
-                barrier,
-                result_queue,
-                command_queues,
-                processes,
-                configs,
-                obs,
-            )
-            if supervised
-            else None
-        )
-
-        planner = _RoundPlanner(
-            specification,
-            scheduler or DecentralisedScheduler(),
-            incremental=dispatch == PLANNER_DISPATCH_NAME,
-        )
-        if relaxed_uids:
-            planner.mask_roots(
-                root.path
-                for root in specification.system_modules()
-                if {
-                    owner_of[m.path]
-                    for m in root.walk()
-                    if m.path in owner_of
-                }
-                <= relaxed_uids
-            )
-        # The delay clock's single authority: the coordinator owns the time,
-        # broadcasts it with every "select", and advances it by the busiest
-        # unit's firing-cost sum per round — the identical derivation the
-        # in-process executor uses, so FiringEvent.time stays byte-equal.
-        clock = SimulatedClock()
-        trace = ExecutionTrace(enabled=True)
-
-        # Coordinator-side folds of the workers' per-round obs deltas.  All
-        # pure wall-clock measurement: the deltas never touch the plan, the
-        # costs or the simulated clock.
-        registry = obs.registry
-        m_rounds = registry.counter(
-            "repro_parallel_rounds_total",
-            "Computation rounds completed by the multiprocess backend.",
-        )
-        m_busy = registry.counter(
-            "repro_parallel_unit_busy_seconds_total",
-            "Wall-clock seconds each unit's worker spent firing + flushing.",
-            labelnames=("unit",),
-        )
-        m_sync = registry.counter(
-            "repro_parallel_unit_sync_seconds_total",
-            "Wall-clock seconds each unit's worker waited at the round barrier.",
-            labelnames=("unit",),
-        )
-        m_messages = registry.counter(
-            "repro_parallel_messages_total",
-            "Cross-unit interactions routed through the channel mesh.",
-        )
-        h_batch = registry.histogram(
-            "repro_parallel_batch_size",
-            "Messages per per-peer channel batch (one batch per peer per round).",
-            buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256),
-        )
-        m_barrier_rounds = registry.counter(
-            "repro_parallel_barrier_rounds_total",
-            "Unit-rounds that synchronised at the global round barrier.",
-        )
-        m_lookahead_rounds = registry.counter(
-            "repro_parallel_lookahead_rounds_total",
-            "Unit-rounds run locally under conservative lookahead "
-            "(relaxed barrier).",
-        )
-        registry.gauge(
-            "repro_parallel_workers", "Worker processes of the last run."
-        ).set(len(units))
-        metrics = {
-            "rounds": m_rounds,
-            "busy": m_busy,
-            "sync": m_sync,
-            "messages": m_messages,
-            "batch": h_batch,
-            "barrier_rounds": m_barrier_rounds,
-            "lookahead_rounds": m_lookahead_rounds,
-        }
-
+        control = _ControlPlane(ctx, self.round_timeout_s)
         try:
-            for process in processes.values():
-                process.start()
-            self._gather(result_queue, "ready", 0, len(units), processes)
+            # The workers start first: they spend ~0.2 s importing and
+            # rebuilding the specification, and everything the coordinator
+            # still has to set up below fits inside that.
+            configs: Dict[int, WorkerConfig] = {}
+            for unit in units:
+                configs[unit.uid] = WorkerConfig(
+                    source=source,
+                    unit_uid=unit.uid,
+                    units=units,
+                    dispatch_name=dispatch,
+                    dispatch_kwargs=tuple(sorted((dispatch_kwargs or {}).items())),
+                    transition_cost_scale=cost_scale,
+                    busy_work_us_per_cost=busy_work_us_per_cost,
+                    channel_timeout_s=self.round_timeout_s,
+                    crash_rounds=(
+                        tuple(sorted(fault_plan.crash_rounds_for(unit.uid)))
+                        if fault_plan is not None
+                        else ()
+                    ),
+                    send_delays=(
+                        fault_plan.send_delays_for(unit.uid)
+                        if fault_plan is not None
+                        else ()
+                    ),
+                    checkpoint=supervised,
+                    relaxed=unit.uid in relaxed_uids,
+                )
+                control.spawn(
+                    unit.uid,
+                    configs[unit.uid],
+                    transport.endpoint_for(unit.uid),
+                    f"estelle-unit-{unit.uid}",
+                )
+            supervisor = (
+                _Supervisor(transport, control, configs, obs) if supervised else None
+            )
+
+            planner = _RoundPlanner(
+                specification,
+                scheduler or DecentralisedScheduler(),
+                incremental=dispatch == PLANNER_DISPATCH_NAME,
+            )
+            if relaxed_uids:
+                planner.mask_roots(
+                    root.path
+                    for root in specification.system_modules()
+                    if {
+                        owner_of[m.path]
+                        for m in root.walk()
+                        if m.path in owner_of
+                    }
+                    <= relaxed_uids
+                )
+            # The delay clock's single authority: the coordinator owns the
+            # time, broadcasts it with every "select", and advances it by the
+            # busiest unit's firing-cost sum per round — the identical
+            # derivation the in-process executor uses, so FiringEvent.time
+            # stays byte-equal.
+            clock = SimulatedClock()
+            trace = ExecutionTrace(enabled=True)
+            metrics = self._metrics(obs, len(units))
+
+            control.gather("ready", 0, configs)
             for unit in units:
                 obs.events.emit(
                     "worker_spawn",
@@ -837,9 +898,7 @@ class MultiprocessBackend(ExecutionBackend):
                         unit_by_uid=unit_by_uid,
                         barrier_units=barrier_units,
                         relaxed_uids=relaxed_uids,
-                        command_queues=command_queues,
-                        result_queue=result_queue,
-                        processes=processes,
+                        control=control,
                         planner=planner,
                         clock=clock,
                         trace=trace,
@@ -854,9 +913,7 @@ class MultiprocessBackend(ExecutionBackend):
                         owner_of=owner_of,
                         unit_by_uid=unit_by_uid,
                         units=units,
-                        command_queues=command_queues,
-                        result_queue=result_queue,
-                        processes=processes,
+                        control=control,
                         planner=planner,
                         clock=clock,
                         trace=trace,
@@ -867,7 +924,11 @@ class MultiprocessBackend(ExecutionBackend):
                 )
             wall = time.perf_counter() - loop_started
         finally:
-            self._shutdown(command_queues, processes, transport)
+            control.shutdown()
+            try:
+                transport.close()
+            except (ValueError, OSError):  # pragma: no cover - best-effort cleanup
+                pass
 
         return BackendResult(
             backend=self.name,
@@ -883,6 +944,53 @@ class MultiprocessBackend(ExecutionBackend):
             transport=transport.name,
         )
 
+    @staticmethod
+    def _metrics(obs: Observability, workers: int) -> Dict[str, Any]:
+        """Coordinator-side folds of the workers' per-round obs deltas.
+
+        All pure wall-clock measurement: the deltas never touch the plan,
+        the costs or the simulated clock.
+        """
+        registry = obs.registry
+        registry.gauge(
+            "repro_parallel_workers", "Worker processes of the last run."
+        ).set(workers)
+        return {
+            "rounds": registry.counter(
+                "repro_parallel_rounds_total",
+                "Computation rounds completed by the multiprocess backend.",
+            ),
+            "busy": registry.counter(
+                "repro_parallel_unit_busy_seconds_total",
+                "Wall-clock seconds each unit's worker spent firing + flushing.",
+                labelnames=("unit",),
+            ),
+            "sync": registry.counter(
+                "repro_parallel_unit_sync_seconds_total",
+                "Wall-clock seconds each unit's worker waited for the round's "
+                "inbound batches.",
+                labelnames=("unit",),
+            ),
+            "messages": registry.counter(
+                "repro_parallel_messages_total",
+                "Cross-unit interactions routed through the channel mesh.",
+            ),
+            "batch": registry.histogram(
+                "repro_parallel_batch_size",
+                "Messages per per-peer channel batch (one batch per peer per round).",
+                buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256),
+            ),
+            "barrier_rounds": registry.counter(
+                "repro_parallel_barrier_rounds_total",
+                "Unit-rounds run under the every-round protocol.",
+            ),
+            "lookahead_rounds": registry.counter(
+                "repro_parallel_lookahead_rounds_total",
+                "Unit-rounds run locally under conservative lookahead "
+                "(relaxed barrier).",
+            ),
+        }
+
     # -- the two coordinator loops -------------------------------------------------
 
     def _run_barrier_loop(
@@ -892,9 +1000,7 @@ class MultiprocessBackend(ExecutionBackend):
         owner_of: Dict[str, int],
         unit_by_uid: Dict[int, UnitDescriptor],
         units,
-        command_queues: Dict[int, Any],
-        result_queue,
-        processes: Dict[int, Any],
+        control: _ControlPlane,
         planner: _RoundPlanner,
         clock: SimulatedClock,
         trace: ExecutionTrace,
@@ -907,16 +1013,11 @@ class MultiprocessBackend(ExecutionBackend):
         transitions_fired = 0
         deadlocked = False
         stop_reason = "budget"
-        all_uids = frozenset(unit.uid for unit in units)
+        uids = [unit.uid for unit in units]
+        all_uids = frozenset(uids)
         for round_index in range(1, max_rounds + 1):
             summaries, deadlines = self._select_round(
-                command_queues,
-                result_queue,
-                processes,
-                units,
-                round_index,
-                clock,
-                supervisor=supervisor,
+                control, uids, round_index, clock, supervisor
             )
             plan = planner.plan(summaries)
             # An empty plan with delay timers still running means time is
@@ -934,13 +1035,7 @@ class MultiprocessBackend(ExecutionBackend):
                 # report deltas (the planner's cache holds the rest),
                 # non-incremental workers re-report their full shard.
                 summaries, deadlines = self._select_round(
-                    command_queues,
-                    result_queue,
-                    processes,
-                    units,
-                    round_index,
-                    clock,
-                    supervisor=supervisor,
+                    control, uids, round_index, clock, supervisor
                 )
                 plan = planner.plan(summaries)
             if plan.empty:
@@ -956,15 +1051,11 @@ class MultiprocessBackend(ExecutionBackend):
                 stop_reason = "quiescent"
                 break
 
-            assignments = self._build_assignments(
-                plan, owner_of, [unit.uid for unit in units]
-            )
+            assignments = self._build_assignments(plan, owner_of, uids)
             round_started = time.perf_counter()
-            for uid, command_queue in command_queues.items():
-                command_queue.put(("fire", round_index, tuple(assignments[uid])))
-            report_sets = self._gather(
-                result_queue, "fired", round_index, len(units), processes
-            )
+            for uid in uids:
+                control.send(uid, ("fire", round_index, tuple(assignments[uid])))
+            report_sets = control.gather("fired", round_index, uids)
             round_wall = time.perf_counter() - round_started
 
             ordered: List[Tuple[int, FiringReport]] = []
@@ -1004,16 +1095,14 @@ class MultiprocessBackend(ExecutionBackend):
         unit_by_uid: Dict[int, UnitDescriptor],
         barrier_units,
         relaxed_uids: frozenset,
-        command_queues: Dict[int, Any],
-        result_queue,
-        processes: Dict[int, Any],
+        control: _ControlPlane,
         planner: _RoundPlanner,
         clock: SimulatedClock,
         trace: ExecutionTrace,
         max_rounds: int,
         metrics: Dict[str, Any],
     ) -> Tuple[int, int, bool, str]:
-        """The coordinator loop with the round barrier relaxed.
+        """The coordinator loop with some units running ahead.
 
         Barrier units keep the strict select/plan/fire protocol, folded
         over the masked specification (their roots only).  Relaxed units
@@ -1032,9 +1121,6 @@ class MultiprocessBackend(ExecutionBackend):
         stop_reason = "budget"
         barrier_uids = [unit.uid for unit in barrier_units]
         relaxed_order = sorted(relaxed_uids)
-        collector = _ResultCollector(
-            result_queue, processes, self.round_timeout_s
-        )
         system_roots = [root.path for root in specification.system_modules()]
         window_end = 0
 
@@ -1045,18 +1131,18 @@ class MultiprocessBackend(ExecutionBackend):
 
         for round_index in range(1, max_rounds + 1):
             if round_index > window_end:
+                if window_end:
+                    control.gather("window_done", window_end, relaxed_order)
                 window_end = min(
                     round_index + self.lookahead_rounds - 1, max_rounds
                 )
                 for uid in relaxed_order:
-                    command_queues[uid].put(
-                        ("run_rounds", round_index, window_end)
-                    )
-            summaries, deadlines = self._select_subset(
-                command_queues, collector, barrier_uids, round_index, clock
+                    control.send(uid, ("run_rounds", round_index, window_end))
+            summaries, deadlines = self._select_round(
+                control, barrier_uids, round_index, clock
             )
             plan = planner.plan(summaries)
-            lrounds = collector.collect("lround", round_index, relaxed_order)
+            lrounds = control.gather("lround", round_index, relaxed_order)
             relaxed_planned = sum(payload[0] for payload in lrounds.values())
             # The deadline-jump loop involves the barrier units only: a
             # relaxed unit is delay-free, so its (already executed) local
@@ -1067,8 +1153,8 @@ class MultiprocessBackend(ExecutionBackend):
                 if next_deadline <= clock.now:
                     break
                 clock.now = next_deadline
-                summaries, deadlines = self._select_subset(
-                    command_queues, collector, barrier_uids, round_index, clock
+                summaries, deadlines = self._select_round(
+                    control, barrier_uids, round_index, clock
                 )
                 plan = planner.plan(summaries)
             if plan.empty and relaxed_planned == 0:
@@ -1082,8 +1168,7 @@ class MultiprocessBackend(ExecutionBackend):
                 for uid, payload in lrounds.items():
                     self._fold_delta(metrics, uid, payload[2])
                 self._drain_windows(
-                    command_queues,
-                    collector,
+                    control,
                     barrier_uids,
                     relaxed_order,
                     round_index,
@@ -1097,10 +1182,8 @@ class MultiprocessBackend(ExecutionBackend):
             for uid in barrier_uids:
                 # Every barrier unit fires every round — an empty assignment
                 # still flushes empty batches, pacing relaxed downstreams.
-                command_queues[uid].put(
-                    ("fire", round_index, tuple(assignments[uid]))
-                )
-            report_sets = collector.collect("fired", round_index, barrier_uids)
+                control.send(uid, ("fire", round_index, tuple(assignments[uid])))
+            report_sets = control.gather("fired", round_index, barrier_uids)
             round_wall = time.perf_counter() - round_started
 
             barrier_reports: List[Tuple[int, FiringReport]] = []
@@ -1154,8 +1237,7 @@ class MultiprocessBackend(ExecutionBackend):
 
     def _drain_windows(
         self,
-        command_queues: Dict[int, Any],
-        collector: _ResultCollector,
+        control: _ControlPlane,
         barrier_uids: List[int],
         relaxed_order: List[int],
         round_index: int,
@@ -1174,12 +1256,12 @@ class MultiprocessBackend(ExecutionBackend):
         """
         for drain_round in range(round_index, window_end):
             for uid in barrier_uids:
-                command_queues[uid].put(("fire", drain_round, ()))
-            fired = collector.collect("fired", drain_round, barrier_uids)
+                control.send(uid, ("fire", drain_round, ()))
+            fired = control.gather("fired", drain_round, barrier_uids)
             for uid, payload in fired.items():
                 self._fold_delta(metrics, uid, payload[1])
         for drain_round in range(round_index + 1, window_end + 1):
-            lrounds = collector.collect("lround", drain_round, relaxed_order)
+            lrounds = control.gather("lround", drain_round, relaxed_order)
             for uid, (planned, _reports, delta, _pending) in lrounds.items():
                 self._fold_delta(metrics, uid, delta)
                 if planned:
@@ -1189,30 +1271,7 @@ class MultiprocessBackend(ExecutionBackend):
                         f"in round {round_index}; conservative lookahead "
                         "drained a non-empty round"
                     )
-        collector.collect("window_done", window_end, relaxed_order)
-
-    @staticmethod
-    def _select_subset(
-        command_queues: Dict[int, Any],
-        collector: _ResultCollector,
-        barrier_uids: List[int],
-        round_index: int,
-        clock: SimulatedClock,
-    ) -> Tuple[Dict[str, SelectionSummary], List[float]]:
-        """Select over the barrier units only (relaxed units plan locally)."""
-        if not barrier_uids:
-            return {}, []
-        for uid in barrier_uids:
-            command_queues[uid].put(("select", round_index, clock.now))
-        summary_sets = collector.collect("summaries", round_index, barrier_uids)
-        summaries: Dict[str, SelectionSummary] = {}
-        deadlines: List[float] = []
-        for per_unit, unit_deadline in summary_sets.values():
-            for summary in per_unit:
-                summaries[summary[0]] = summary
-            if unit_deadline is not None:
-                deadlines.append(unit_deadline)
-        return summaries, deadlines
+        control.gather("window_done", window_end, relaxed_order)
 
     @staticmethod
     def _build_assignments(
@@ -1371,32 +1430,34 @@ class MultiprocessBackend(ExecutionBackend):
                     parent.release_child(child_name)
             planner.note_structure_change()
 
+    @staticmethod
     def _select_round(
-        self,
-        command_queues: Dict[int, Any],
-        result_queue,
-        processes: Dict[int, Any],
-        units,
+        control: _ControlPlane,
+        uids: List[int],
         round_index: int,
         clock: SimulatedClock,
         supervisor: Optional[_Supervisor] = None,
     ) -> Tuple[Dict[str, SelectionSummary], List[float]]:
-        """Broadcast one select at the clock's current time; fold the replies.
+        """Send ``uids`` one select at the clock's current time; fold the replies.
 
         Returns the merged per-module summaries plus every worker-reported
         future delay deadline (empty when no timers are running anywhere).
         With a supervisor, a worker found dead mid-gather is respawned from
         its last shard checkpoint and its select re-issued, transparently.
         """
-        self._broadcast(command_queues, ("select", round_index, clock.now))
-        if supervisor is None:
-            summary_sets = self._gather(
-                result_queue, "summaries", round_index, len(units), processes
-            )
-        else:
-            summary_sets = self._gather_supervised(
-                result_queue, round_index, len(units), processes, supervisor, clock
-            )
+        now = clock.now
+        for uid in uids:
+            control.send(uid, ("select", round_index, now))
+        summary_sets = control.gather(
+            "summaries",
+            round_index,
+            uids,
+            recover=(
+                None
+                if supervisor is None
+                else lambda uid: supervisor.respawn(uid, round_index, now)
+            ),
+        )
         summaries: Dict[str, SelectionSummary] = {}
         deadlines: List[float] = []
         for per_unit, unit_deadline in summary_sets.values():
@@ -1405,151 +1466,3 @@ class MultiprocessBackend(ExecutionBackend):
             if unit_deadline is not None:
                 deadlines.append(unit_deadline)
         return summaries, deadlines
-
-    @staticmethod
-    def _broadcast(command_queues: Dict[int, Any], command: Tuple) -> None:
-        for command_queue in command_queues.values():
-            command_queue.put(command)
-
-    def _gather_supervised(
-        self,
-        result_queue,
-        round_index: int,
-        expected: int,
-        processes: Dict[int, Any],
-        supervisor: _Supervisor,
-        clock: SimulatedClock,
-    ) -> Dict[int, Any]:
-        """The select gather with crash recovery.
-
-        Differences from :meth:`_gather`: a dead worker triggers a respawn
-        (restore-from-checkpoint + re-issued select) instead of an abort,
-        the gather deadline restarts after each recovery, and stray
-        ``"ready"`` boot messages from replacements are skipped (each
-        replacement's ready always precedes its summaries on the queue, so
-        none can leak past this gather).
-        """
-        collected: Dict[int, Any] = {}
-        deadline = time.perf_counter() + self.round_timeout_s
-        while len(collected) < expected:
-            try:
-                uid, got_kind, got_round, payload = result_queue.get(timeout=1.0)
-            except Empty:
-                dead = [
-                    uid
-                    for uid, process in processes.items()
-                    if not process.is_alive() and process.exitcode not in (0, None)
-                ]
-                if dead:
-                    for dead_uid in sorted(dead):
-                        supervisor.respawn(dead_uid, round_index, clock.now)
-                    deadline = time.perf_counter() + self.round_timeout_s
-                    continue
-                if time.perf_counter() >= deadline:
-                    raise ParallelExecutionError(
-                        f"timed out waiting for 'summaries' results of round "
-                        f"{round_index} ({len(collected)}/{expected} workers reported)"
-                    ) from None
-                continue
-            if got_kind == "ready":
-                continue  # a respawned replacement booting
-            if got_kind == "error":
-                raise ParallelExecutionError(
-                    f"worker for unit {uid} failed:\n{payload}"
-                )
-            if got_kind != "summaries" or got_round != round_index:
-                raise ParallelExecutionError(
-                    f"protocol violation: expected 'summaries' for round "
-                    f"{round_index}, unit {uid} sent {got_kind!r} for round {got_round}"
-                )
-            if uid in collected:
-                raise ParallelExecutionError(
-                    f"unit {uid} reported 'summaries' twice for round {round_index}"
-                )
-            collected[uid] = payload
-        return collected
-
-    def _gather(
-        self,
-        result_queue,
-        kind: str,
-        round_index: int,
-        expected: int,
-        processes: Dict[int, Any],
-    ) -> Dict[int, Any]:
-        """Collect exactly one ``kind`` result per worker for ``round_index``.
-
-        An ``error`` result from any worker aborts the run with that worker's
-        traceback.  The queue is polled in short slices so a worker that died
-        *without* reporting (killed, or its spawned interpreter failed before
-        ``worker_main`` ran — e.g. an unimportable ``__main__``) is diagnosed
-        within seconds rather than after the full round timeout.
-        """
-        collected: Dict[int, Any] = {}
-        deadline = time.perf_counter() + self.round_timeout_s
-        while len(collected) < expected:
-            try:
-                uid, got_kind, got_round, payload = result_queue.get(timeout=1.0)
-            except Empty:
-                dead = [
-                    process.name
-                    for process in processes.values()
-                    if not process.is_alive() and process.exitcode not in (0, None)
-                ]
-                if dead:
-                    raise ParallelExecutionError(
-                        f"worker(s) {', '.join(dead)} died without reporting "
-                        f"(waiting for {kind!r} of round {round_index}); when "
-                        "using the spawn start method the driving script must "
-                        "be importable (a real file with an "
-                        "'if __name__ == \"__main__\"' guard, not stdin)"
-                    ) from None
-                if time.perf_counter() >= deadline:
-                    raise ParallelExecutionError(
-                        f"timed out waiting for {kind!r} results of round "
-                        f"{round_index} ({len(collected)}/{expected} workers reported)"
-                    ) from None
-                continue
-            if got_kind == "error":
-                raise ParallelExecutionError(
-                    f"worker for unit {uid} failed:\n{payload}"
-                )
-            if got_kind != kind or got_round != round_index:
-                raise ParallelExecutionError(
-                    f"protocol violation: expected {kind!r} for round "
-                    f"{round_index}, unit {uid} sent {got_kind!r} for round {got_round}"
-                )
-            if uid in collected:
-                raise ParallelExecutionError(
-                    f"unit {uid} reported {kind!r} twice for round {round_index}"
-                )
-            collected[uid] = payload
-        return collected
-
-    @staticmethod
-    def _shutdown(
-        command_queues: Dict[int, Any], processes: Dict[int, Any], transport
-    ) -> None:
-        for command_queue in command_queues.values():
-            try:
-                command_queue.put(("stop",))
-            except (ValueError, OSError):  # queue already closed
-                pass
-        for process in processes.values():
-            if process.is_alive():
-                process.join(timeout=5.0)
-        for process in processes.values():
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        # Escalate: a worker wedged in uninterruptible I/O can shrug off
-        # SIGTERM; SIGKILL cannot be ignored, so teardown can never hang on
-        # a stuck worker.
-        for process in processes.values():
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5.0)
-        try:
-            transport.close()
-        except (ValueError, OSError):  # pragma: no cover - best-effort cleanup
-            pass

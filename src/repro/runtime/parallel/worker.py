@@ -11,8 +11,15 @@ done in parallel."*  Concretely, per computation round a worker
    and reports the per-module results to the coordinator, which combines
    them with the Estelle precedence rules into the global round plan,
 3. **fires** the transitions the plan assigned to this unit, capturing the
-   interactions that cross unit boundaries, and flushes exactly one batch
-   per peer unit before meeting the other workers at the round barrier.
+   interactions that cross unit boundaries, and flushes exactly one
+   round-tagged batch per peer unit before it replies ``fired``.
+
+Nothing else synchronises a round: the coordinator sends the next ``select``
+only after every unit's ``fired``, and step 1 blocks per inbound link until
+the batch carrying the awaited round tag is there.  Commands and results
+travel over the unit's *lane* — a pair of one-way pipes to the coordinator,
+see ``_ControlPlane`` in :mod:`.backend`; interactions travel over the
+:class:`~.transport.TransportEndpoint`.
 
 Workers never exchange module state — only interactions.  Every process
 (including the coordinator) rebuilds the *same* specification from the
@@ -126,8 +133,9 @@ FiringReport = Tuple[
 ]
 
 #: Per-round observability delta a worker ships with its firing reports:
-#: (busy wall seconds of fire+flush, wall seconds spent at the round
-#: barrier, cross-unit messages routed, per-peer batch sizes).  Pure
+#: (busy wall seconds of fire+flush, wall seconds ``deliver_pending`` waited
+#: for the round's inbound batches, cross-unit messages routed, per-peer
+#: batch sizes).  Pure
 #: measurement — deltas never feed back into scheduling, costs or the
 #: simulated clock, so shipping them cannot perturb canonical traces.
 ObsDelta = Tuple[float, float, int, Tuple[int, ...]]
@@ -385,6 +393,18 @@ class WorkerRuntime:
             self.endpoint.send_batch(peer, round_index, outgoing.get(peer, ()))
         self._undelivered_round = round_index
 
+    def obs_delta(
+        self,
+        busy_seconds: float,
+        sync_seconds: float,
+        outgoing: Dict[int, List[RoutedMessage]],
+    ) -> ObsDelta:
+        """The observability delta of one fired-and-flushed round."""
+        batch_sizes = tuple(
+            len(outgoing.get(peer, ())) for peer in self.endpoint.peers_out
+        )
+        return busy_seconds, sync_seconds, sum(batch_sizes), batch_sizes
+
     # -- conservative lookahead (relaxed units) ------------------------------------
 
     def local_round(
@@ -404,8 +424,8 @@ class WorkerRuntime:
         Returns ``(planned, reports, obs_delta, pending)``: the number of
         *planned* firings (before any released-module skip, i.e. the local
         plan's emptiness as the in-process executor would see it), the
-        firing reports, the usual observability delta (sync here is the
-        inbound-pacing wait instead of a barrier wait), and the number of
+        firing reports, the usual observability delta (sync is the
+        inbound-pacing wait, as in a strict round), and the number of
         queued interactions (only counted when the plan was empty — the
         coordinator's deadlock verdict needs it then).
         """
@@ -429,15 +449,8 @@ class WorkerRuntime:
         fire_started = time.perf_counter()
         reports, outgoing = self.fire(round_index, firings)
         self.flush(round_index, outgoing)
-        busy_seconds = time.perf_counter() - fire_started
-        batch_sizes = tuple(
-            len(outgoing.get(peer, ())) for peer in self.endpoint.peers_out
-        )
-        delta: ObsDelta = (
-            busy_seconds,
-            sync_seconds,
-            sum(batch_sizes),
-            batch_sizes,
+        delta = self.obs_delta(
+            time.perf_counter() - fire_started, sync_seconds, outgoing
         )
         pending = 0
         if not firings:
@@ -611,27 +624,24 @@ class WorkerRuntime:
 
 
 def worker_main(
-    config: WorkerConfig,
-    command_queue,
-    result_queue,
-    endpoint: TransportEndpoint,
-    barrier,
+    config: WorkerConfig, commands, results, endpoint: TransportEndpoint
 ) -> None:
     """Process entry point: serve the coordinator's round protocol.
 
-    Commands are ``("select", round, now)``, ``("fire", round, firings)``,
-    ``("run_rounds", start, end)`` (relaxed units: a window of locally
-    planned rounds, answered with one ``lround`` per round plus a
-    ``window_done``), ``("reconnect", peer)`` and ``("stop",)``; every
-    select/fire is answered with exactly one result tuple
-    ``(uid, kind, round, payload)``.  A
-    ``select`` may repeat for the same round with a later ``now`` when the
-    coordinator jumps the simulated clock over a delay deadline; a
-    ``reconnect`` (sent by the supervisor after respawning a crashed peer,
-    unanswered) makes connection-oriented transports redial that peer and
-    re-send their retransmit slot.  Any exception is reported as an
-    ``("error", traceback)`` result instead of dying silently, so the
-    coordinator can fail fast with the worker's stack trace.
+    ``commands`` and ``results`` are this unit's ends of its control lane
+    (two one-way pipes to the coordinator).  Commands are ``("select", round, now)``,
+    ``("fire", round, firings)``, ``("run_rounds", start, end)`` (relaxed
+    units: a window of locally planned rounds, answered with one ``lround``
+    per round plus a ``window_done``), ``("reconnect", peer)`` and
+    ``("stop",)``; every select/fire is answered with exactly one result
+    tuple ``(kind, round, payload)``.  A ``select`` may repeat for the same
+    round with a later ``now`` when the coordinator jumps the simulated
+    clock over a delay deadline; a ``reconnect`` (sent by the supervisor
+    after respawning a crashed peer, unanswered) makes connection-oriented
+    transports redial that peer and re-send their retransmit slot.  Any
+    exception is reported as an ``("error", -1, traceback)`` result instead
+    of dying silently, so the coordinator can fail fast with the worker's
+    stack trace.
     """
     uid = config.unit_uid
     crash_rounds = frozenset(config.crash_rounds)
@@ -640,9 +650,15 @@ def worker_main(
         runtime = WorkerRuntime(config, endpoint)
         if config.restore is not None:
             runtime.restore_shard(config.restore)
-        result_queue.put((uid, "ready", 0, len(runtime.unit.module_paths)))
+        results.send(("ready", 0, len(runtime.unit.module_paths)))
+        # Wall seconds this round's selects spent waiting for inbound
+        # batches; shipped as the sync share of the round's "fired" delta.
+        inbound_wait = 0.0
         while True:
-            command = command_queue.get()
+            try:
+                command = commands.recv()
+            except EOFError:
+                break  # the coordinator is gone: nobody left to serve
             kind = command[0]
             if kind == "select":
                 round_index, now = command[1], command[2]
@@ -650,41 +666,34 @@ def worker_main(
                     # Deterministic fault injection (repro.faults): hard exit
                     # with no error report and the previous round's inbound
                     # batches left unconsumed (the supervisor's respawn picks
-                    # them up).  The transport is quiesced first: an mp
+                    # them up).  The data plane is quiesced first: an mp
                     # queue's feeder threads share write locks with live
                     # processes, and dying inside a feeder's lock window
                     # would wedge every other worker — the model here is
                     # "death at a round boundary", not a torn write mid-pipe
-                    # (which no respawn could repair).
+                    # (which no respawn could repair).  The lane is written
+                    # synchronously, so it has nothing in flight to lose.
                     endpoint.close()
-                    result_queue.close()
-                    result_queue.join_thread()
+                    commands.close()
+                    results.close()
                     os._exit(CRASH_EXIT_CODE)
+                wait_started = time.perf_counter()
                 runtime.deliver_pending()
+                inbound_wait += time.perf_counter() - wait_started
                 summaries, deadline = runtime.select(now)
-                result_queue.put(
-                    (uid, "summaries", round_index, (tuple(summaries), deadline))
-                )
+                results.send(("summaries", round_index, (tuple(summaries), deadline)))
             elif kind == "fire":
                 round_index, firings = command[1], command[2]
                 phase_started = time.perf_counter()
                 reports, outgoing = runtime.fire(round_index, firings)
+                # One round-tagged batch per out-peer leaves *before* the
+                # "fired" reply; the next round's deliver_pending blocks on
+                # exactly these tags, so no unit can observe a partial round.
                 runtime.flush(round_index, outgoing)
-                busy_seconds = time.perf_counter() - phase_started
-                # The barrier is the computation-step synchronisation point:
-                # after it, every unit's batches for this round are in flight,
-                # so the next round's delivery cannot observe a partial round.
-                barrier.wait(timeout=config.channel_timeout_s)
-                sync_seconds = time.perf_counter() - phase_started - busy_seconds
-                batch_sizes = tuple(
-                    len(outgoing.get(peer, ())) for peer in endpoint.peers_out
+                delta = runtime.obs_delta(
+                    time.perf_counter() - phase_started, inbound_wait, outgoing
                 )
-                delta: ObsDelta = (
-                    busy_seconds,
-                    sync_seconds,
-                    sum(batch_sizes),
-                    batch_sizes,
-                )
+                inbound_wait = 0.0
                 payload: Tuple[Any, ...] = (tuple(reports), delta)
                 if config.checkpoint:
                     # Round-boundary checkpoint, piggybacked on the reply so
@@ -692,7 +701,7 @@ def worker_main(
                     payload = payload + (
                         runtime.snapshot_shard(round_index, outgoing),
                     )
-                result_queue.put((uid, "fired", round_index, payload))
+                results.send(("fired", round_index, payload))
             elif kind == "run_rounds":
                 # Conservative lookahead: run a window of rounds entirely
                 # locally, streaming one "lround" result per round (the
@@ -705,15 +714,14 @@ def worker_main(
                     planned, reports, delta, pending = runtime.local_round(
                         local_index
                     )
-                    result_queue.put(
+                    results.send(
                         (
-                            uid,
                             "lround",
                             local_index,
                             (planned, tuple(reports), delta, pending),
                         )
                     )
-                result_queue.put((uid, "window_done", end_round, None))
+                results.send(("window_done", end_round, None))
             elif kind == "reconnect":
                 # A crashed peer was respawned; redial it (and re-send the
                 # retransmit slot) on transports whose links died with it.
@@ -724,9 +732,8 @@ def worker_main(
                 raise ValueError(f"unknown worker command {kind!r}")
     except ChannelTimeout as exc:
         peer = "?" if exc.peer is None else exc.peer
-        result_queue.put(
+        results.send(
             (
-                uid,
                 "error",
                 -1,
                 f"channel timeout: unit {uid} waited {exc.timeout_s:.0f}s for "
@@ -736,4 +743,4 @@ def worker_main(
             )
         )
     except BaseException:
-        result_queue.put((uid, "error", -1, traceback.format_exc()))
+        results.send(("error", -1, traceback.format_exc()))

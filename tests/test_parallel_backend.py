@@ -9,6 +9,9 @@ the delay-driven ``xmovie_stream.estelle``) and under the table-driven,
 generated and planner dispatch strategies.
 """
 
+import multiprocessing
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -405,7 +408,6 @@ class TestMultiprocessPreconditions:
         the mesh follows the specification's connectivity."""
         from repro.runtime.parallel.backend import MultiprocessBackend as _MB  # noqa: F401
         from repro.runtime.parallel import ChannelMesh
-        import multiprocessing
 
         mesh = ChannelMesh(
             multiprocessing.get_context("spawn"),
@@ -426,3 +428,35 @@ class TestMultiprocessPreconditions:
             mapping=GroupedMapping(),
         )
         assert trace_diff(in_process.trace, multiprocess.trace) is None
+
+
+class TestMultiprocessLeaves:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts descriptors via /proc"
+    )
+    @pytest.mark.parametrize("transport", ["mp-queue", "tcp"])
+    def test_back_to_back_runs_leave_nothing_behind(self, transport):
+        """Lanes are pipes and pipes are descriptors: twenty ``execute()``
+        calls must return the process's open descriptors, threads and child
+        processes to where the first call left them."""
+
+        def census():
+            return (
+                len(os.listdir("/proc/self/fd")),
+                threading.active_count(),
+                len(multiprocessing.active_children()),
+            )
+
+        source = SpecSource.from_estelle_file(MCAM_SPEC)
+        backend = MultiprocessBackend(transport=transport)
+
+        def run():
+            return backend.execute(
+                source, two_machine_cluster(1), mapping=GroupedMapping(), max_rounds=3
+            )
+
+        first = run()
+        baseline = census()
+        for _ in range(20):
+            assert traces_equal(run().trace, first.trace)
+        assert census() == baseline

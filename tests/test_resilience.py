@@ -60,6 +60,7 @@ from repro.sim import Cluster, Machine
 EXAMPLES = Path(__file__).parent.parent / "examples" / "specs"
 MCAM_SPEC = EXAMPLES / "mcam_sessions.estelle"
 OSI_SPEC = EXAMPLES / "osi_transfer.estelle"
+XMOVIE_SPEC = EXAMPLES / "xmovie_stream.estelle"
 
 #: spontaneous two-state loop — never quiescent, for step-budget tests.
 TICKER_SPEC = """
@@ -271,14 +272,24 @@ class TestSupervisedRecovery:
         counter = obs.registry.get("repro_resil_recoveries_total")
         assert counter is not None and counter.value == len(crashes_in_range)
 
-    def test_channel_delay_does_not_change_the_trace(self):
-        source = SpecSource.from_estelle_file(MCAM_SPEC)
+    @pytest.mark.parametrize("supervise", [None, False], ids=["supervised", "unsupervised"])
+    @pytest.mark.parametrize(
+        "spec_path", [MCAM_SPEC, XMOVIE_SPEC], ids=lambda path: path.stem
+    )
+    def test_channel_delay_does_not_change_the_trace(self, spec_path, supervise):
+        """A late batch is waited for, never overtaken: delivery is paced by
+        the round tag on the link, with no barrier to hide behind (a fault
+        plan turns supervision on unless ``supervise`` says otherwise)."""
+        source = SpecSource.from_estelle_file(spec_path)
         reference = InProcessBackend().execute(
             source, example_cluster(), mapping=GroupedMapping(), max_rounds=60
         )
         plan = FaultPlan(
-            channel_delays=(
-                ChannelDelay(source_unit=1, target_unit=2, round_index=2, seconds=0.2),
+            channel_delays=tuple(
+                ChannelDelay(
+                    source_unit=1, target_unit=2, round_index=round_index, seconds=0.1
+                )
+                for round_index in (2, 3, 5)
             )
         )
         delayed = MultiprocessBackend().execute(
@@ -287,6 +298,7 @@ class TestSupervisedRecovery:
             mapping=GroupedMapping(),
             max_rounds=60,
             fault_plan=plan,
+            supervise=supervise,
         )
         assert canonical_trace_bytes(delayed.trace) == canonical_trace_bytes(
             reference.trace
