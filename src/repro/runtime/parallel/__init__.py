@@ -14,11 +14,14 @@ Pieces:
 * :mod:`.worker` — the per-unit worker process (rebuilds the specification
   from a picklable :class:`~repro.runtime.executor.SpecSource`, selects,
   fires, routes),
-* :mod:`.channels` — the batched round protocol (round tags, ``(plan_index,
-  seq)`` merge order) and the multiprocessing-queue channel primitives,
+* :mod:`.channels` — the batch protocol's types and pure functions (round
+  tags, batch encoding, link-set normalisation, ``(plan_index, seq)`` merge
+  order); it touches no queue and no socket,
 * :mod:`.transport` — the pluggable wire layer: :class:`MpQueueTransport`
-  (default) and :class:`TcpTransport` (length-prefixed socket streams with
-  an address-based peer table) behind one :class:`Transport` interface,
+  (default, one multiprocessing queue per link) and :class:`TcpTransport`
+  (length-prefixed socket streams with an address-based peer table) behind
+  one :class:`Transport` interface, and the one receive loop that enforces
+  the round tags,
 * :mod:`.trace` — the canonical byte encoding under which both backends'
   firing traces must be identical, plus a diff helper.
 
@@ -28,15 +31,9 @@ Smoke-check from the command line (used by CI)::
     python -m repro.runtime.parallel --transport tcp examples/specs/mcam_core.estelle
 """
 
-from .backend import (
-    MultiprocessBackend,
-    ParallelExecutionError,
-    PrecomputedDispatch,
-)
+from .backend import MultiprocessBackend, ParallelExecutionError
 from .channels import (
     Batch,
-    BatchChannel,
-    ChannelMesh,
     ChannelProtocolError,
     ChannelTimeout,
     RoutedMessage,
@@ -55,14 +52,11 @@ from .worker import UnitDescriptor, WorkerConfig, WorkerRuntime, worker_main
 
 __all__ = [
     "Batch",
-    "BatchChannel",
-    "ChannelMesh",
     "ChannelProtocolError",
     "ChannelTimeout",
     "MpQueueTransport",
     "MultiprocessBackend",
     "ParallelExecutionError",
-    "PrecomputedDispatch",
     "RoutedMessage",
     "TcpTransport",
     "Transport",

@@ -10,12 +10,12 @@ per worker carries the coordinator's commands and the worker's results.
 
 The coordinator keeps the one job that is inherently global and cheap — the
 Estelle precedence walk.  Workers report per-module selection results; the
-coordinator replays the *same* tree walk the in-process schedulers use
-(:meth:`repro.runtime.scheduler.Scheduler.plan_round`, driven by a dispatch
-strategy that returns the precomputed results) and broadcasts each unit its
-share of the plan.  This is exactly the split the paper describes: the
-per-module checks — the part measured at up to 80% of runtime — run in
-parallel; the combination is a tree fold over booleans.
+coordinator writes them into the result slots of the planner's generated
+walk (:func:`repro.runtime.planner.compile_plan_program` — the walk the
+in-process planner runs) and sends each unit its share of the plan.  This
+is exactly the split the paper describes: the per-module checks — the part
+measured at up to 80% of runtime — run in parallel; the combination is a
+tree fold over booleans.
 
 Equivalence with the in-process backend is *byte-level* on the canonical
 firing trace (:mod:`repro.runtime.parallel.trace`): same rounds, same
@@ -41,11 +41,12 @@ from typing import (
 )
 
 from ...estelle.errors import SchedulingError
+from ...estelle.module import Module
 from ...estelle.specification import Specification
 from ...obs import NULL_OBS, Observability
 from ...sim.machine import Cluster
 from ..clock import SimulatedClock, firing_advance
-from ..dispatch import DispatchResult, DispatchStrategy
+from ..dispatch import DispatchResult
 from ..executor import (
     BackendResult,
     ExecutionBackend,
@@ -53,8 +54,8 @@ from ..executor import (
     register_backend,
 )
 from ..mapping import MappingStrategy, SystemMapping, ThreadPerModuleMapping
-from ..planner import PLANNER_DISPATCH_NAME, compile_plan_program
-from ..scheduler import DecentralisedScheduler, RoundPlan, Scheduler
+from ..planner import compile_plan_program
+from ..scheduler import RoundPlan, Scheduler
 from ..tracing import ExecutionTrace, FiringEvent
 from .transport import Transport, transport_by_name
 from .worker import (
@@ -104,6 +105,12 @@ def _relaxable_units(
             continue
         relaxed.add(unit.uid)
     return frozenset(relaxed)
+
+
+def _root_of(path: str) -> str:
+    """The system root a module path lies under: paths are
+    ``<spec>/<root>/...``, so the first two segments name it."""
+    return "/".join(path.split("/", 2)[:2])
 
 
 class ParallelExecutionError(SchedulingError):
@@ -427,66 +434,28 @@ class _Supervisor:
         )
 
 
-class PrecomputedDispatch(DispatchStrategy):
-    """A dispatch strategy that replays selection results computed elsewhere.
-
-    The coordinator's replica of the specification is structurally accurate
-    (module tree, attributes, connections) but behaviourally stale — it never
-    fires transitions.  Feeding this strategy to the ordinary
-    :meth:`Scheduler.plan_round` walk therefore combines the workers'
-    authoritative per-module results under exactly the precedence rules the
-    in-process executor applies, with zero duplicated logic.
-    """
-
-    name = "precomputed"
-
-    def __init__(self) -> None:
-        super().__init__(scan_cost=0.0, overhead=0.0)
-        self.results: Dict[str, DispatchResult] = {}
-
-    def select(self, module) -> DispatchResult:
-        try:
-            return self.results[module.path]
-        except KeyError as exc:
-            raise ParallelExecutionError(
-                f"no worker reported a selection result for module {module.path!r}"
-            ) from exc
-
-
 class _RoundPlanner:
-    """Combines worker selection summaries into the global round plan.
+    """Folds worker selection summaries into the global round plan.
 
-    ``incremental=True`` (the ``"planner"`` dispatch) switches both halves of
-    the fold to the fused planner architecture: workers send summary *deltas*
-    (only their dirty modules), which update a per-module result cache here,
-    and the precedence fold runs through the generated whole-specification
-    walk of :func:`repro.runtime.planner.compile_plan_program` instead of the
-    interpreted ``Scheduler.plan_round`` recursion.
+    Each module of the coordinator's replica has a result slot in a
+    walk-only :func:`repro.runtime.planner.compile_plan_program`; a summary
+    overwrites its module's slot and the generated walk replays the Estelle
+    precedence rules over the slots.  A worker may report its whole shard
+    every round or, under the ``"planner"`` dispatch, only the modules that
+    changed — a slot nobody reported keeps its previous result, and a slot
+    nobody *ever* reported fails the round.  The replica is structurally
+    accurate (module tree, attributes, connections) but behaviourally stale:
+    it never fires, so the workers' results are the only selection input.
     """
 
-    def __init__(
-        self,
-        specification: Specification,
-        scheduler: Scheduler,
-        incremental: bool = False,
-    ) -> None:
+    def __init__(self, specification: Specification) -> None:
         self.specification = specification
-        self.scheduler = scheduler
-        self.incremental = incremental
-        self.dispatch = PrecomputedDispatch()
         self._transition_cache: Dict[Tuple[type, str], Any] = {}
-        self._shape_changed = False
-        self._masked_roots: frozenset = frozenset()
-        if incremental:
-            # Walk-only: the result slots are refreshed from worker
-            # summaries, so no selectors are compiled coordinator-side.
-            self._program = compile_plan_program(specification, with_evaluators=False)
-            self._index_by_path = {
-                module.path: index
-                for index, module in enumerate(self._program.modules)
-            }
-            self._pending: List[int] = [0] * len(self._program.modules)
-            self._unfilled = len(self._program.modules)
+        #: queued interactions per module, as last reported (a module nobody
+        #: re-reports cannot have changed — queue mutations mark it dirty).
+        self._pending: Dict[Module, int] = {}
+        self._program = None
+        self._rebuild_program()
 
     def mask_roots(self, root_paths) -> None:
         """Exclude relaxed units' system subtrees from the coordinator fold.
@@ -495,75 +464,48 @@ class _RoundPlanner:
         plans it locally (its restricted precedence walk equals the global
         plan's projection — precedence never crosses system subtrees).  The
         coordinator fold then covers only the barrier units' roots: the
-        interpreted walk skips masked subtrees outright, while the fused
-        incremental program keeps their result slots pinned to a non-firing
-        placeholder so the whole-specification walk stays well-formed
-        without any worker ever reporting for them.
+        masked slots are pinned to a non-firing placeholder, so the
+        whole-specification walk stays well-formed without any worker ever
+        reporting for them.
         """
-        self._masked_roots = frozenset(root_paths)
-        if self.incremental:
-            self._mask_incremental_slots()
-
-    def _mask_incremental_slots(self) -> None:
+        masked = frozenset(root_paths)
         placeholder = DispatchResult(
             transition=None, examined=0, cost=0.0, external=False
         )
         results = self._program.results
         for index, module in enumerate(self._program.modules):
-            root = "/".join(module.path.split("/", 2)[:2])
-            if root in self._masked_roots and results[index] is None:
+            if _root_of(module.path) in masked:
                 results[index] = placeholder
-                self._pending[index] = 0
-                self._unfilled -= 1
-
-    def _active_roots(self):
-        """The system roots the coordinator fold covers (None = all)."""
-        if not self._masked_roots:
-            return None
-        return [
-            root
-            for root in self.specification.system_modules()
-            if root.path not in self._masked_roots
-        ]
 
     def note_structure_change(self) -> None:
         """A replayed init/release changed the coordinator replica's tree.
 
-        The interpreted (non-incremental) fold walks the live tree every
-        round, so only the incremental mode has cached shape to invalidate:
-        the fused walk program and the flat result arrays are rebuilt lazily
-        at the next :meth:`plan` call, carrying cached per-module results
-        over by path (the structure epoch's coordinator-side counterpart).
+        The walk program is re-bound lazily at the next :meth:`plan` call;
+        surviving modules keep their slots (the structure epoch's
+        coordinator-side counterpart).
         """
-        if self.incremental:
-            self._shape_changed = True
+        self._shape_changed = True
 
     def _rebuild_program(self) -> None:
-        cached = {
-            module.path: (result, pending)
-            for module, result, pending in zip(
-                self._program.modules, self._program.results, self._pending
-            )
-        }
-        self._program = compile_plan_program(self.specification, with_evaluators=False)
+        # Walk-only: the result slots are refreshed from worker summaries,
+        # so no selectors are compiled coordinator-side.  Slots for newly
+        # created modules start unfilled; the worker owning them observed
+        # the same structure-epoch bump and re-reports its full shard, so
+        # they are filled by this round's summaries.  (A masked root's
+        # subtree never changes coordinator-side — its topology events are
+        # not replayed — so its pins carry over with the survivors.)
+        self._program = compile_plan_program(
+            self.specification, with_evaluators=False, previous=self._program
+        )
         self._index_by_path = {
             module.path: index for index, module in enumerate(self._program.modules)
         }
-        results = self._program.results
-        self._pending = []
-        for index, module in enumerate(self._program.modules):
-            results[index], pending = cached.get(module.path, (None, 0))
-            self._pending.append(pending)
-        # Slots for newly created modules start unfilled; the worker owning
-        # them observed the same structure-epoch bump and re-reports its
-        # full shard, so they are filled by this round's deltas.
-        self._unfilled = sum(1 for result in results if result is None)
+        self._pending = {
+            module: pending
+            for module, pending in self._pending.items()
+            if module in self._program.index_of
+        }
         self._shape_changed = False
-        if self._masked_roots:
-            # Masked slots carried over by path above; pin any the rebuild
-            # introduced (a masked root's subtree never changes coordinator-
-            # side, so this is a no-op in practice — kept for safety).
-            self._mask_incremental_slots()
 
     def _resolve_transition(self, module, name: str):
         key = (type(module), name)
@@ -580,43 +522,12 @@ class _RoundPlanner:
         return transition
 
     def plan(self, summaries: Dict[str, SelectionSummary]) -> RoundPlan:
-        if self.incremental:
-            return self._plan_incremental(summaries)
-        roots = self._active_roots()
-        modules = (
-            self.specification.modules()
-            if roots is None
-            else (module for root in roots for module in root.walk())
-        )
-        results: Dict[str, DispatchResult] = {}
-        for module in modules:
-            path = module.path
-            try:
-                _, transition_name, external, examined, cost, _pending = summaries[path]
-            except KeyError as exc:
-                raise ParallelExecutionError(
-                    f"no selection summary for module {path!r}"
-                ) from exc
-            transition = (
-                self._resolve_transition(module, transition_name)
-                if transition_name is not None
-                else None
-            )
-            results[path] = DispatchResult(
-                transition=transition, examined=examined, cost=cost, external=external
-            )
-        self.dispatch.results = results
-        return self.scheduler.plan_round(
-            self.specification, self.dispatch, roots=roots
-        )
-
-    def _plan_incremental(self, deltas: Dict[str, SelectionSummary]) -> RoundPlan:
-        """Apply summary deltas to the result cache, then run the fused walk."""
+        """Write ``summaries`` into their slots, then run the generated walk."""
         if self._shape_changed:
             self._rebuild_program()
         results = self._program.results
         plan = RoundPlan()
-        for path, summary in deltas.items():
+        for path, summary in summaries.items():
             _, transition_name, external, examined, cost, pending = summary
             try:
                 index = self._index_by_path[path]
@@ -630,46 +541,38 @@ class _RoundPlanner:
                 if transition_name is not None
                 else None
             )
-            if results[index] is None:
-                self._unfilled -= 1
             results[index] = DispatchResult(
                 transition=transition, examined=examined, cost=cost, external=external
             )
-            self._pending[index] = pending
+            self._pending[module] = pending
             plan.examined_costs[path] = cost
-        plan.examined_modules = len(deltas)
-        if self._unfilled:
+        plan.examined_modules = len(summaries)
+        if None in results:
             missing = [
                 module.path
-                for index, module in enumerate(self._program.modules)
-                if results[index] is None
+                for module, result in zip(self._program.modules, results)
+                if result is None
             ]
             raise ParallelExecutionError(
                 f"no selection summary for module(s) {missing}; the first "
-                "planner round (and the first round after a topology change) "
-                "must cover every module of the owning worker's shard"
+                "round (and the first round after a topology change) must "
+                "cover every module of the owning worker's shard"
             )
         self._program.shape.walk(self._program, plan.firings)
         return plan
 
     def has_pending(self) -> bool:
-        """Whether any module reported queued interactions (deadlock check).
-
-        Only meaningful in incremental mode, where the per-module pending
-        counts are cached between rounds (a clean module's count cannot have
-        changed — queue mutations mark it dirty).
-        """
-        return any(self._pending)
+        """Whether any module reported queued interactions (deadlock check)."""
+        return any(self._pending.values())
 
 
 @register_backend
 class MultiprocessBackend(ExecutionBackend):
     """Run a specification with one worker process per execution unit.
 
-    ``scheduler`` is accepted for interface symmetry but only its precedence
-    walk is used — this backend *is* the decentralised scheduler made real,
-    so per-unit selection cost is paid in actual wall-clock on actual
-    processes rather than charged to a simulated unit.
+    This backend *is* the decentralised scheduler made real: per-unit
+    selection cost is paid in actual wall-clock on actual processes rather
+    than charged to a simulated unit.
 
     ``start_method`` defaults to ``"spawn"``: it is the one start method that
     behaves identically across Linux/macOS/Windows and never inherits
@@ -679,13 +582,13 @@ class MultiprocessBackend(ExecutionBackend):
     recipes).
 
     ``transport`` picks the wire the batch mesh runs over (see
-    :mod:`repro.runtime.parallel.transport`): ``"mp-queue"`` (default, the
-    original multiprocessing queues) or ``"tcp"`` (length-prefixed socket
+    :mod:`repro.runtime.parallel.transport`): ``"mp-queue"`` (default, one
+    multiprocessing queue per link) or ``"tcp"`` (length-prefixed socket
     streams with an address-based peer table).  ``transport_options`` are
     forwarded to the transport's constructor (e.g. ``host``/``base_port``
-    for tcp).  The control plane is one duplex pipe per worker (see
-    :class:`_ControlPlane`) plus process spawning, whatever the transport;
-    only the data plane is transport-pluggable.
+    for tcp).  The control plane is one lane of two one-way pipes per worker
+    (see :class:`_Lane`, :class:`_ControlPlane`) plus process spawning,
+    whatever the transport; only the data plane is transport-pluggable.
 
     ``relax_barrier`` enables decentralised conservative time management:
     execution units that wholly own their system subtrees and declare no
@@ -696,7 +599,8 @@ class MultiprocessBackend(ExecutionBackend):
     strict protocol produces.  Units that share a system subtree or carry
     delay timers keep the barrier protocol (over a masked fold), and
     supervised or fault-injected runs disable relaxation entirely — crash
-    recovery reasons in whole global rounds.
+    recovery reasons in whole global rounds.  ``relax_barrier=False`` is the
+    same coordinator loop with nobody relaxed.
     """
 
     name = "multiprocess"
@@ -746,8 +650,11 @@ class MultiprocessBackend(ExecutionBackend):
         shard checkpointing plus crash recovery (respawn-from-checkpoint);
         it defaults to on exactly when a fault plan is present, and to off
         otherwise, so the unsupervised fast path is byte-for-byte the
-        pre-resilience protocol.
+        pre-resilience protocol.  ``scheduler`` is part of the
+        :class:`ExecutionBackend` signature and unused here: the mesh folds
+        worker results through the planner's generated precedence walk.
         """
+        del scheduler
         obs = obs if obs is not None else NULL_OBS
         supervised = supervise if supervise is not None else fault_plan is not None
         specification = source.build()
@@ -791,9 +698,6 @@ class MultiprocessBackend(ExecutionBackend):
             if relax_active
             else frozenset()
         )
-        barrier_units = tuple(
-            unit for unit in units if unit.uid not in relaxed_uids
-        )
 
         # Only unit pairs whose modules are actually connected need channels;
         # connectivity is read off the live IP peers (not just spec.connect)
@@ -816,9 +720,11 @@ class MultiprocessBackend(ExecutionBackend):
 
         ctx = multiprocessing.get_context(self.start_method)
         transport = transport_by_name(self.transport, **self.transport_options)
-        transport.open(ctx, [unit.uid for unit in units], pairs=pairs)
         control = _ControlPlane(ctx, self.round_timeout_s)
         try:
+            # Inside the try that closes it: a tcp mesh binds its listeners
+            # one by one, and a failed bind must release the ones before it.
+            transport.open(ctx, [unit.uid for unit in units], pairs=pairs)
             # The workers start first: they spend ~0.2 s importing and
             # rebuilding the specification, and everything the coordinator
             # still has to set up below fits inside that.
@@ -856,11 +762,7 @@ class MultiprocessBackend(ExecutionBackend):
                 _Supervisor(transport, control, configs, obs) if supervised else None
             )
 
-            planner = _RoundPlanner(
-                specification,
-                scheduler or DecentralisedScheduler(),
-                incremental=dispatch == PLANNER_DISPATCH_NAME,
-            )
+            planner = _RoundPlanner(specification)
             if relaxed_uids:
                 planner.mask_roots(
                     root.path
@@ -890,38 +792,19 @@ class MultiprocessBackend(ExecutionBackend):
                     modules=len(unit.module_paths),
                 )
             loop_started = time.perf_counter()
-            if relaxed_uids:
-                rounds, transitions_fired, deadlocked, stop_reason = (
-                    self._run_relaxed_loop(
-                        specification=specification,
-                        owner_of=owner_of,
-                        unit_by_uid=unit_by_uid,
-                        barrier_units=barrier_units,
-                        relaxed_uids=relaxed_uids,
-                        control=control,
-                        planner=planner,
-                        clock=clock,
-                        trace=trace,
-                        max_rounds=max_rounds,
-                        metrics=metrics,
-                    )
-                )
-            else:
-                rounds, transitions_fired, deadlocked, stop_reason = (
-                    self._run_barrier_loop(
-                        specification=specification,
-                        owner_of=owner_of,
-                        unit_by_uid=unit_by_uid,
-                        units=units,
-                        control=control,
-                        planner=planner,
-                        clock=clock,
-                        trace=trace,
-                        max_rounds=max_rounds,
-                        metrics=metrics,
-                        supervisor=supervisor,
-                    )
-                )
+            rounds, transitions_fired, deadlocked, stop_reason = self._run_loop(
+                specification=specification,
+                owner_of=owner_of,
+                unit_by_uid=unit_by_uid,
+                relaxed_uids=relaxed_uids,
+                control=control,
+                planner=planner,
+                clock=clock,
+                trace=trace,
+                max_rounds=max_rounds,
+                metrics=metrics,
+                supervisor=supervisor,
+            )
             wall = time.perf_counter() - loop_started
         finally:
             control.shutdown()
@@ -991,15 +874,15 @@ class MultiprocessBackend(ExecutionBackend):
             ),
         }
 
-    # -- the two coordinator loops -------------------------------------------------
+    # -- the coordinator loop --------------------------------------------------------
 
-    def _run_barrier_loop(
+    def _run_loop(
         self,
         *,
         specification: Specification,
         owner_of: Dict[str, int],
         unit_by_uid: Dict[int, UnitDescriptor],
-        units,
+        relaxed_uids: frozenset,
         control: _ControlPlane,
         planner: _RoundPlanner,
         clock: SimulatedClock,
@@ -1008,129 +891,36 @@ class MultiprocessBackend(ExecutionBackend):
         metrics: Dict[str, Any],
         supervisor: Optional[_Supervisor],
     ) -> Tuple[int, int, bool, str]:
-        """The strict protocol: every unit synchronises every round."""
-        rounds = 0
-        transitions_fired = 0
-        deadlocked = False
-        stop_reason = "budget"
-        uids = [unit.uid for unit in units]
-        all_uids = frozenset(uids)
-        for round_index in range(1, max_rounds + 1):
-            summaries, deadlines = self._select_round(
-                control, uids, round_index, clock, supervisor
-            )
-            plan = planner.plan(summaries)
-            # An empty plan with delay timers still running means time is
-            # the missing enabler: jump the clock to the earliest worker-
-            # reported deadline and re-select (same round index — a jump
-            # is not a computation round).  Each jump strictly advances
-            # the clock, so the loop terminates.
-            resume_at = clock.now
-            while plan.empty and deadlines:
-                next_deadline = min(deadlines)
-                if next_deadline <= clock.now:
-                    break
-                clock.now = next_deadline
-                # Fresh summaries cover both modes: incremental workers
-                # report deltas (the planner's cache holds the rest),
-                # non-incremental workers re-report their full shard.
-                summaries, deadlines = self._select_round(
-                    control, uids, round_index, clock, supervisor
-                )
-                plan = planner.plan(summaries)
-            if plan.empty:
-                # Quiescent: rewind jumps taken chasing stale deadline
-                # entries, mirroring the in-process executor, so the
-                # final simulated_time matches across dispatches.
-                clock.now = resume_at
-                deadlocked = (
-                    planner.has_pending()
-                    if planner.incremental
-                    else any(summary[5] > 0 for summary in summaries.values())
-                )
-                stop_reason = "quiescent"
-                break
+        """The coordinator loop: barrier units in lockstep, relaxed ones ahead.
 
-            assignments = self._build_assignments(plan, owner_of, uids)
-            round_started = time.perf_counter()
-            for uid in uids:
-                control.send(uid, ("fire", round_index, tuple(assignments[uid])))
-            report_sets = control.gather("fired", round_index, uids)
-            round_wall = time.perf_counter() - round_started
+        Barrier units follow the select/plan/fire protocol every round,
+        folded over the masked specification (their roots only).  Relaxed
+        units receive *windows* of rounds (``run_rounds``) and stream back
+        one ``lround`` summary per round; this loop folds each global
+        round's barrier reports and relaxed summaries — bucketed per system
+        root, concatenated in declaration order — into the canonical trace.
+        Pacing is delegated to the mesh's per-link round tags: a relaxed
+        unit runs at most one round ahead of any peer it shares a link
+        with, and arbitrarily far ahead of units it never exchanges
+        interactions with.
 
-            ordered: List[Tuple[int, FiringReport]] = []
-            for uid, payload in report_sets.items():
-                reports, delta = payload[0], payload[1]
-                if supervisor is not None and len(payload) > 2:
-                    supervisor.store_checkpoint(uid, payload[2])
-                self._fold_delta(metrics, uid, delta)
-                ordered.extend((uid, report) for report in reports)
-            ordered.sort(key=lambda item: item[1][0])  # by plan index
-
-            trace.start_round(round_index)
-            unit_firing_costs = self._record_reports(
-                trace,
-                round_index,
-                ordered,
-                unit_by_uid,
-                clock,
-                specification,
-                owner_of,
-                planner,
-                replay_uids=all_uids,
-            )
-            trace.finish_round(makespan=round_wall, serial_overhead=0.0)
-            clock.advance(firing_advance(unit_firing_costs))
-            rounds += 1
-            transitions_fired += len(ordered)
-            metrics["rounds"].inc()
-            metrics["barrier_rounds"].inc(len(units))
-        return rounds, transitions_fired, deadlocked, stop_reason
-
-    def _run_relaxed_loop(
-        self,
-        *,
-        specification: Specification,
-        owner_of: Dict[str, int],
-        unit_by_uid: Dict[int, UnitDescriptor],
-        barrier_units,
-        relaxed_uids: frozenset,
-        control: _ControlPlane,
-        planner: _RoundPlanner,
-        clock: SimulatedClock,
-        trace: ExecutionTrace,
-        max_rounds: int,
-        metrics: Dict[str, Any],
-    ) -> Tuple[int, int, bool, str]:
-        """The coordinator loop with some units running ahead.
-
-        Barrier units keep the strict select/plan/fire protocol, folded
-        over the masked specification (their roots only).  Relaxed units
-        receive *windows* of rounds (``run_rounds``) and stream back one
-        ``lround`` summary per round; this loop folds each global round's
-        barrier reports and relaxed summaries — bucketed per system root,
-        concatenated in declaration order — into the same canonical trace
-        the strict protocol produces.  Pacing is delegated to the mesh's
-        per-link round tags: a relaxed unit runs at most one round ahead
-        of any peer it shares a link with, and arbitrarily far ahead of
-        units it never exchanges interactions with.
+        With ``relaxed_uids`` empty this is the strict protocol, every unit
+        synchronising every round: no window is ever issued, the ``lround``
+        gather over no units returns at once, nothing is masked, and at
+        quiescence there is no window to drain.  Supervision (``supervisor``
+        is not None) only ever runs that way.
         """
         rounds = 0
         transitions_fired = 0
         deadlocked = False
         stop_reason = "budget"
-        barrier_uids = [unit.uid for unit in barrier_units]
+        barrier_uids = [uid for uid in unit_by_uid if uid not in relaxed_uids]
         relaxed_order = sorted(relaxed_uids)
         system_roots = [root.path for root in specification.system_modules()]
         window_end = 0
 
-        def root_of(path: str) -> str:
-            # System module paths are "<spec>/<root>"; every descendant
-            # path extends one, so its first two segments name its root.
-            return "/".join(path.split("/", 2)[:2])
-
         for round_index in range(1, max_rounds + 1):
-            if round_index > window_end:
+            if relaxed_order and round_index > window_end:
                 if window_end:
                     control.gather("window_done", window_end, relaxed_order)
                 window_end = min(
@@ -1139,14 +929,18 @@ class MultiprocessBackend(ExecutionBackend):
                 for uid in relaxed_order:
                     control.send(uid, ("run_rounds", round_index, window_end))
             summaries, deadlines = self._select_round(
-                control, barrier_uids, round_index, clock
+                control, barrier_uids, round_index, clock, supervisor
             )
             plan = planner.plan(summaries)
             lrounds = control.gather("lround", round_index, relaxed_order)
             relaxed_planned = sum(payload[0] for payload in lrounds.values())
-            # The deadline-jump loop involves the barrier units only: a
-            # relaxed unit is delay-free, so its (already executed) local
-            # plan for this round is invariant under clock jumps.
+            # An empty round with delay timers still running means time is
+            # the missing enabler: jump the clock to the earliest worker-
+            # reported deadline and re-select (same round index — a jump is
+            # not a computation round).  Each jump strictly advances the
+            # clock, so the loop terminates.  Only the barrier units take
+            # part: a relaxed unit is delay-free, so its (already executed)
+            # local plan for this round is invariant under clock jumps.
             resume_at = clock.now
             while plan.empty and relaxed_planned == 0 and deadlines:
                 next_deadline = min(deadlines)
@@ -1154,27 +948,29 @@ class MultiprocessBackend(ExecutionBackend):
                     break
                 clock.now = next_deadline
                 summaries, deadlines = self._select_round(
-                    control, barrier_uids, round_index, clock
+                    control, barrier_uids, round_index, clock, supervisor
                 )
                 plan = planner.plan(summaries)
             if plan.empty and relaxed_planned == 0:
+                # Quiescent: rewind jumps taken chasing stale deadline
+                # entries, mirroring the in-process executor, so the final
+                # simulated_time matches across dispatches.
                 clock.now = resume_at
-                deadlocked = (
-                    planner.has_pending()
-                    if planner.incremental
-                    else any(summary[5] > 0 for summary in summaries.values())
-                ) or any(payload[3] > 0 for payload in lrounds.values())
+                deadlocked = planner.has_pending() or any(
+                    payload[3] > 0 for payload in lrounds.values()
+                )
                 stop_reason = "quiescent"
                 for uid, payload in lrounds.items():
                     self._fold_delta(metrics, uid, payload[2])
-                self._drain_windows(
-                    control,
-                    barrier_uids,
-                    relaxed_order,
-                    round_index,
-                    window_end,
-                    metrics,
-                )
+                if relaxed_order:
+                    self._drain_windows(
+                        control,
+                        barrier_uids,
+                        relaxed_order,
+                        round_index,
+                        window_end,
+                        metrics,
+                    )
                 break
 
             assignments = self._build_assignments(plan, owner_of, barrier_uids)
@@ -1189,6 +985,8 @@ class MultiprocessBackend(ExecutionBackend):
             barrier_reports: List[Tuple[int, FiringReport]] = []
             for uid, payload in report_sets.items():
                 reports, delta = payload[0], payload[1]
+                if supervisor is not None and len(payload) > 2:
+                    supervisor.store_checkpoint(uid, payload[2])
                 self._fold_delta(metrics, uid, delta)
                 barrier_reports.extend((uid, report) for report in reports)
             barrier_reports.sort(key=lambda item: item[1][0])  # masked plan order
@@ -1200,12 +998,12 @@ class MultiprocessBackend(ExecutionBackend):
             # or one relaxed unit's local plan (in its report order).
             buckets: Dict[str, List[Tuple[int, FiringReport]]] = {}
             for uid, report in barrier_reports:
-                buckets.setdefault(root_of(report[1]), []).append((uid, report))
+                buckets.setdefault(_root_of(report[1]), []).append((uid, report))
             for uid in relaxed_order:
                 _planned, reports, delta, _pending = lrounds[uid]
                 self._fold_delta(metrics, uid, delta)
                 for report in reports:
-                    buckets.setdefault(root_of(report[1]), []).append(
+                    buckets.setdefault(_root_of(report[1]), []).append(
                         (uid, report)
                     )
             ordered = [
@@ -1232,7 +1030,7 @@ class MultiprocessBackend(ExecutionBackend):
             transitions_fired += len(ordered)
             metrics["rounds"].inc()
             metrics["barrier_rounds"].inc(len(barrier_uids))
-            metrics["lookahead_rounds"].inc(len(relaxed_uids))
+            metrics["lookahead_rounds"].inc(len(relaxed_order))
         return rounds, transitions_fired, deadlocked, stop_reason
 
     def _drain_windows(

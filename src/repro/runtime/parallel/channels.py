@@ -1,13 +1,16 @@
-"""Batched, order-preserving inter-unit channels over multiprocessing queues.
+"""The batch protocol of the inter-unit mesh: its types and pure functions.
 
 The paper's runtime exchanges interactions between execution units through
 shared-memory queues guarded by thread synchronisation; crossing machines
-costs a remote message.  Here the units are OS processes, so interactions
-travel over :mod:`multiprocessing` queues — and because every queue operation
-pays a pickle + pipe round trip, messages are *batched per computation
-round*: a sender flushes exactly one batch (possibly empty) per peer unit per
-round, tagged with the round index, and a receiver drains exactly one batch
-per peer before the next round's transition selection.
+costs a remote message.  Here the units are OS processes and every transfer
+pays a pickle plus a pipe or socket round trip, so messages are *batched per
+computation round*: a sender flushes exactly one batch (possibly empty) per
+peer unit per round, tagged with the round index, and a receiver drains
+exactly one batch per peer before the next round's transition selection.
+What a batch is, how it is encoded, which unit pairs get a link and how
+several peers' batches merge is defined here, for every wire alike; the wires
+themselves (queues, sockets) and the receive loop that enforces the round
+tags live in :mod:`.transport`.
 
 Ordering guarantees
 -------------------
@@ -25,16 +28,14 @@ Ordering guarantees
   diagnostics rather than silent trace divergence.  A batch tagged with a
   *past* round is not an error but a duplicate: a crashed-and-respawned
   sender re-sends its last checkpointed round's batches (the original flush
-  may have died in the queue's feeder thread), and since round tags strictly
+  may have died with the process), and since round tags strictly
   increase per link the receiver can discard them safely.
 """
 
 from __future__ import annotations
 
 import pickle
-from queue import Empty
-from time import monotonic
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ...estelle.errors import EstelleError
 
@@ -162,135 +163,6 @@ def derive_link_pairs(
                 f"link ({source}, {target}) names a unit outside {ordered}"
             )
     return link_pairs
-
-
-class BatchChannel:
-    """One direction of an inter-unit link: per-round batches over a queue.
-
-    Built from a multiprocessing context so the underlying queue survives
-    being inherited by a spawned worker process.  ``send_batch`` is called by
-    the owning sender exactly once per round; ``receive_batch`` blocks (with
-    a timeout guarding against dead peers) until the peer's batch for the
-    expected round arrives.
-    """
-
-    def __init__(self, ctx) -> None:
-        self._queue = ctx.Queue()
-
-    def send_payload(self, payload: bytes) -> None:
-        """Enqueue an already-encoded batch payload (see :func:`encode_batch`)."""
-        self._queue.put(payload)
-
-    def send_batch(self, round_index: int, messages: Sequence[RoutedMessage]) -> None:
-        self.send_payload(encode_batch(round_index, messages))
-
-    def poll_payload(self, timeout: float) -> Optional[bytes]:
-        """Next raw encoded batch within ``timeout`` seconds, or ``None``.
-
-        The round-tag discipline (stale skip / future error / timeout
-        diagnostics) lives in :meth:`TransportEndpoint.resolve_round`, shared
-        by every transport; this is the mp-queue transport's raw ``_poll``.
-        """
-        try:
-            return self._queue.get(timeout=max(timeout, 0.001))
-        except Empty:
-            return None
-
-    def receive_batch(
-        self,
-        round_index: int,
-        timeout: float = 60.0,
-        peer: Optional[int] = None,
-        transport: Optional[str] = None,
-        endpoint: Optional[str] = None,
-    ) -> Batch:
-        deadline = monotonic() + timeout
-        while True:
-            remaining = max(deadline - monotonic(), 0.001)
-            try:
-                batch = pickle.loads(self._queue.get(timeout=remaining))
-            except Empty:
-                raise ChannelTimeout(
-                    round_index,
-                    timeout,
-                    peer=peer,
-                    transport=transport,
-                    endpoint=endpoint,
-                ) from None
-            if batch.round_index < round_index:
-                # A stale duplicate: a crashed-and-respawned sender re-sends
-                # its last checkpointed round's batches because its original
-                # flush may have died in the queue's feeder thread.  Round
-                # tags are strictly increasing per link, so anything older
-                # than the expected round was already delivered — drop it.
-                continue
-            if batch.round_index != round_index:
-                raise ChannelProtocolError(
-                    f"expected the batch for round {round_index}, "
-                    f"got round {batch.round_index}"
-                    + describe_transport(transport, endpoint)
-                )
-            return batch
-
-    def close(self) -> None:
-        self._queue.close()
-        self._queue.join_thread()
-
-
-class ChannelMesh:
-    """The directed :class:`BatchChannel` links between units.
-
-    By default every ordered unit pair gets a link (a full mesh); passing
-    ``pairs`` restricts the mesh to the unit pairs that can actually exchange
-    interactions (derived by the coordinator from the specification's IP
-    connectivity and the mapping).  Each multiprocessing queue costs two pipe
-    descriptors plus a feeder thread and one batch transfer per round, so on
-    sparsely connected specifications — e.g. independent connections mapped
-    to their own units — the restricted mesh scales linearly with the real
-    communication structure instead of quadratically with the unit count.
-
-    ``endpoints_for(uid)`` returns the two per-unit views a worker needs:
-    ``inbound`` (peer uid -> channel it receives on) and ``outbound`` (peer
-    uid -> channel it sends on).  Both views are plain dicts of channels and
-    cross the process boundary through :class:`multiprocessing.Process`
-    argument inheritance.
-    """
-
-    def __init__(
-        self,
-        ctx,
-        unit_ids: Iterable[int],
-        pairs: Optional[Iterable[Tuple[int, int]]] = None,
-    ) -> None:
-        self.unit_ids: Tuple[int, ...] = tuple(sorted(unit_ids))
-        self._links: Dict[Tuple[int, int], BatchChannel] = {
-            pair: BatchChannel(ctx)
-            for pair in derive_link_pairs(self.unit_ids, pairs)
-        }
-
-    @property
-    def pairs(self) -> Tuple[Tuple[int, int], ...]:
-        """The directed ``(source, target)`` link pairs of this mesh."""
-        return tuple(self._links)
-
-    def endpoints_for(self, uid: int) -> Tuple[Dict[int, BatchChannel], Dict[int, BatchChannel]]:
-        if uid not in self.unit_ids:
-            raise KeyError(f"unit {uid} is not part of this mesh ({self.unit_ids})")
-        inbound = {
-            source: channel
-            for (source, target), channel in self._links.items()
-            if target == uid
-        }
-        outbound = {
-            target: channel
-            for (source, target), channel in self._links.items()
-            if source == uid
-        }
-        return inbound, outbound
-
-    def close(self) -> None:
-        for channel in self._links.values():
-            channel.close()
 
 
 def merge_batches(batches: Iterable[Batch]) -> List[RoutedMessage]:

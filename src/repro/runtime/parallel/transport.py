@@ -6,8 +6,9 @@ deployment decision, not an architectural one.  This module extracts that
 decision behind one interface:
 
 * :class:`Transport` — the coordinator-side factory.  It owns the mesh's
-  directed links (derived from the mapping's connectivity, exactly as
-  before) and hands each worker a picklable :class:`TransportEndpoint`.
+  directed links (derived from the mapping's connectivity, normalised once
+  by :func:`~.channels.derive_link_pairs`) and hands each worker a
+  picklable :class:`TransportEndpoint`.
 * :class:`TransportEndpoint` — the per-unit view a worker actually uses:
   ``send_batch``/``receive_batch`` per peer, with the round-tag protocol
   (one batch per peer per round, stale duplicates skipped, future rounds a
@@ -18,10 +19,9 @@ decision behind one interface:
 
 Implementations:
 
-* :class:`MpQueueTransport` (``"mp-queue"``, the default) — a behaviour-
-  preserving wrap of the original :class:`~.channels.BatchChannel` /
-  :class:`~.channels.ChannelMesh` multiprocessing queues.  Zero new copies,
-  zero new threads: the hot path is byte-for-byte the pre-transport wire.
+* :class:`MpQueueTransport` (``"mp-queue"``, the default) — one
+  :mod:`multiprocessing` queue per directed link, inherited by the workers
+  through :class:`multiprocessing.Process` arguments.
 * :class:`TcpTransport` (``"tcp"``) — length-prefixed pickled batches over
   stdlib sockets.  The coordinator binds one listening socket per unit and
   publishes an **address table** ``{unit: (host, port)}``; workers are
@@ -53,8 +53,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from .channels import (
     Batch,
-    BatchChannel,
-    ChannelMesh,
     ChannelProtocolError,
     ChannelTimeout,
     RoutedMessage,
@@ -99,7 +97,7 @@ class TransportEndpoint:
     * fault-plan send delays (wall-clock only, applied before encoding) and
       the ``max_batch_bytes`` guard in :meth:`send_batch`,
     * the round-window resolution loop (stale skip / future error / timeout)
-      in :meth:`resolve_round`, over the subclass's ``_poll``.
+      in :meth:`receive_batch`, over the subclass's ``_poll``.
     """
 
     transport_name = "abstract"
@@ -138,7 +136,7 @@ class TransportEndpoint:
         endpoint crossed the process boundary; the delays then apply
         uniformly inside :meth:`send_batch`, whatever the transport, and
         ``receive_timeout_s`` (the backend's ``round_timeout_s``) becomes
-        the default window of :meth:`resolve_round` — so chaos runs on slow
+        the default window of :meth:`receive_batch` — so chaos runs on slow
         hosts time out with the configured setting, not a hardcoded one.
         """
         self._send_delays = {
@@ -179,7 +177,7 @@ class TransportEndpoint:
             )
         self._send_payload(peer, round_index, payload)
 
-    def resolve_round(
+    def receive_batch(
         self, peer: int, round_index: int, timeout: Optional[float] = None
     ) -> Batch:
         """Block until ``peer``'s batch for ``round_index`` arrives.
@@ -228,12 +226,6 @@ class TransportEndpoint:
             self._round_window[peer] = batch.round_index
             return batch
 
-    def receive_batch(
-        self, peer: int, round_index: int, timeout: Optional[float] = None
-    ) -> Batch:
-        """Compatibility alias for :meth:`resolve_round`."""
-        return self.resolve_round(peer, round_index, timeout=timeout)
-
     def round_window(self, peer: int) -> int:
         """The highest round resolved on the inbound link from ``peer``
         (0 before the first batch) — the link's round-window high-water mark."""
@@ -268,10 +260,16 @@ class Transport:
     Lifecycle: ``open(ctx, unit_ids, pairs)`` builds the links, then
     :meth:`endpoint_for` mints one picklable endpoint per worker (called
     again on respawn — a fresh endpoint carries no stale connections), and
-    :meth:`close` tears the mesh down after the run.
+    :meth:`close` tears the mesh down after the run.  Which units and which
+    directed links the mesh has is settled here, for every transport alike;
+    a transport supplies how a link is made (:meth:`_open_links`), how an
+    endpoint is built over them (:meth:`_endpoint`) and :meth:`close`.
     """
 
     name = "abstract"
+    unit_ids: Tuple[int, ...] = ()
+    #: the directed ``(source, target)`` links of the opened mesh.
+    pairs: Tuple[Tuple[int, int], ...] = ()
 
     def open(
         self,
@@ -279,14 +277,22 @@ class Transport:
         unit_ids: Iterable[int],
         pairs: Optional[Iterable[Tuple[int, int]]] = None,
     ) -> None:
-        raise NotImplementedError
+        """Build the mesh: every ordered unit pair by default, or just
+        ``pairs`` (the unit pairs the mapping says can exchange interactions
+        — a link costs descriptors and one batch transfer per round, so a
+        sparsely connected specification gets a sparse mesh)."""
+        self.unit_ids = tuple(sorted(unit_ids))
+        self.pairs = tuple(derive_link_pairs(self.unit_ids, pairs))
+        self._open_links(ctx)
 
     def endpoint_for(self, uid: int) -> TransportEndpoint:
-        raise NotImplementedError
-
-    @property
-    def pairs(self) -> Tuple[Tuple[int, int], ...]:
-        raise NotImplementedError
+        if uid not in self.unit_ids:
+            raise KeyError(f"unit {uid} is not part of this mesh ({self.unit_ids})")
+        return self._endpoint(
+            uid,
+            self.senders_to(uid),
+            [target for source, target in self.pairs if source == uid],
+        )
 
     def senders_to(self, uid: int) -> Tuple[int, ...]:
         """The units holding a link *into* ``uid`` (the supervisor tells
@@ -296,25 +302,32 @@ class Transport:
             sorted(source for source, target in self.pairs if target == uid)
         )
 
+    def _open_links(self, ctx) -> None:
+        raise NotImplementedError
+
+    def _endpoint(
+        self, uid: int, peers_in: Sequence[int], peers_out: Sequence[int]
+    ) -> TransportEndpoint:
+        raise NotImplementedError
+
     def close(self) -> None:
         raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
-# mp-queue: the original multiprocessing-queue wire, re-wrapped
+# mp-queue: one multiprocessing queue per directed link
 # ---------------------------------------------------------------------------
 
 
 class MpQueueEndpoint(TransportEndpoint):
-    """Per-unit view over inherited :class:`BatchChannel` queues.
+    """Per-unit view over the inherited queues of its links.
 
-    Behaviour-preserving by construction: send is the original
-    ``BatchChannel.send_batch`` pickle-and-put; receive is the shared
-    :meth:`TransportEndpoint.resolve_round` window loop over the channel's
-    raw ``poll_payload``, so the round-tag discipline is enforced by exactly
-    one implementation for every transport.  The queues are owned by the
-    coordinator's :class:`ChannelMesh` and *survive a worker crash*, so no
-    retransmit machinery is needed — :meth:`reconnect_peer` is a no-op.
+    ``inbound`` and ``outbound`` map a peer uid to the queue this unit
+    receives on / sends on; they cross the process boundary through
+    :class:`multiprocessing.Process` argument inheritance.  The queues are
+    owned by the coordinator's :class:`MpQueueTransport` and *survive a
+    worker crash*, so no retransmit machinery is needed —
+    :meth:`reconnect_peer` is a no-op.
     """
 
     transport_name = "mp-queue"
@@ -322,8 +335,8 @@ class MpQueueEndpoint(TransportEndpoint):
     def __init__(
         self,
         uid: int,
-        inbound: Dict[int, BatchChannel],
-        outbound: Dict[int, BatchChannel],
+        inbound: Dict[int, Any],
+        outbound: Dict[int, Any],
         max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
     ) -> None:
         super().__init__(uid, inbound, outbound, max_batch_bytes)
@@ -334,17 +347,21 @@ class MpQueueEndpoint(TransportEndpoint):
         return f"unit {peer} (shared queue)"
 
     def _send_payload(self, peer: int, round_index: int, payload: bytes) -> None:
-        self._outbound[peer].send_payload(payload)
+        self._outbound[peer].put(payload)
 
     def _poll(self, peer: int, timeout: float) -> Optional[bytes]:
-        return self._inbound[peer].poll_payload(timeout)
+        try:
+            return self._inbound[peer].get(timeout=timeout)
+        except queue.Empty:
+            return None
 
     def close(self) -> None:
         # Quiesce the outbound feeder threads (a dying feeder holding a
         # shared pipe lock would wedge every other worker); inbound queues
-        # are left to the coordinator's mesh teardown, as before.
-        for channel in self._outbound.values():
-            channel.close()
+        # are left to the coordinator's mesh teardown.
+        for link in self._outbound.values():
+            link.close()
+            link.join_thread()
 
 
 class MpQueueTransport(Transport):
@@ -354,24 +371,25 @@ class MpQueueTransport(Transport):
 
     def __init__(self, max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES) -> None:
         self.max_batch_bytes = max_batch_bytes
-        self._mesh: Optional[ChannelMesh] = None
+        self._links: Dict[Tuple[int, int], Any] = {}
 
-    def open(self, ctx, unit_ids, pairs=None) -> None:
-        self._mesh = ChannelMesh(ctx, unit_ids, pairs=pairs)
+    def _open_links(self, ctx) -> None:
+        # Made from the run's multiprocessing context, so a queue survives
+        # being inherited by a spawned worker process.
+        self._links = {pair: ctx.Queue() for pair in self.pairs}
 
-    @property
-    def pairs(self) -> Tuple[Tuple[int, int], ...]:
-        assert self._mesh is not None, "transport not opened"
-        return self._mesh.pairs
-
-    def endpoint_for(self, uid: int) -> MpQueueEndpoint:
-        assert self._mesh is not None, "transport not opened"
-        inbound, outbound = self._mesh.endpoints_for(uid)
-        return MpQueueEndpoint(uid, inbound, outbound, self.max_batch_bytes)
+    def _endpoint(self, uid, peers_in, peers_out) -> MpQueueEndpoint:
+        return MpQueueEndpoint(
+            uid,
+            {peer: self._links[peer, uid] for peer in peers_in},
+            {peer: self._links[uid, peer] for peer in peers_out},
+            self.max_batch_bytes,
+        )
 
     def close(self) -> None:
-        if self._mesh is not None:
-            self._mesh.close()
+        for link in self._links.values():
+            link.close()
+            link.join_thread()
 
 
 # ---------------------------------------------------------------------------
@@ -630,33 +648,27 @@ class TcpTransport(Transport):
         self.base_port = base_port
         self.max_batch_bytes = max_batch_bytes
         self.connect_timeout_s = connect_timeout_s
-        self._pairs: Tuple[Tuple[int, int], ...] = ()
         self._listeners: Dict[int, socket.socket] = {}
         self.addresses: Dict[int, Tuple[str, int]] = {}
 
-    def open(self, ctx, unit_ids, pairs=None) -> None:
+    def _open_links(self, ctx) -> None:
         del ctx  # sockets need no multiprocessing context
-        self._pairs = tuple(derive_link_pairs(tuple(unit_ids), pairs))
-        receivers = sorted({target for _, target in self._pairs})
+        receivers = sorted({target for _, target in self.pairs})
         for index, uid in enumerate(receivers):
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            # Registered before it is bound: close() then also releases a
+            # listener whose bind failed (port taken).
+            self._listeners[uid] = listener
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             port = 0 if self.base_port is None else self.base_port + index
             listener.bind((self.host, port))
             listener.listen(64)
-            self._listeners[uid] = listener
             self.addresses[uid] = (
                 self.host,
                 listener.getsockname()[1],
             )
 
-    @property
-    def pairs(self) -> Tuple[Tuple[int, int], ...]:
-        return self._pairs
-
-    def endpoint_for(self, uid: int) -> TcpEndpoint:
-        peers_in = [source for source, target in self._pairs if target == uid]
-        peers_out = [target for source, target in self._pairs if source == uid]
+    def _endpoint(self, uid, peers_in, peers_out) -> TcpEndpoint:
         return TcpEndpoint(
             uid,
             peers_in,

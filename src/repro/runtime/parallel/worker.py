@@ -163,7 +163,7 @@ class WorkerRuntime:
         # Fault-plan send delays apply inside the transport's send_batch so
         # they are uniform across transports (mp-queue and tcp alike), and
         # the operator's round timeout becomes the endpoint's default
-        # receive window (no hardcoded 60 s on any resolve_round call site).
+        # receive window (no hardcoded 60 s on any receive_batch call site).
         endpoint.configure(
             config.send_delays, receive_timeout_s=config.channel_timeout_s
         )
@@ -245,7 +245,7 @@ class WorkerRuntime:
         round_index = self._undelivered_round
         self._undelivered_round = None
         batches = [
-            self.endpoint.resolve_round(peer, round_index)
+            self.endpoint.receive_batch(peer, round_index)
             for peer in self.endpoint.peers_in
         ]
         for message in merge_batches(batches):

@@ -372,6 +372,7 @@ def compile_plan_program(
     overhead: float = 0.15,
     dispatch: Optional[GeneratedDispatchStrategy] = None,
     with_evaluators: bool = True,
+    previous: Optional[FusedPlanProgram] = None,
 ) -> FusedPlanProgram:
     """Bind the current tree to the fused planner of its shape.
 
@@ -386,6 +387,12 @@ def compile_plan_program(
     consumers that refresh the result slots themselves: the interpreted
     (non-fused) planner and the multiprocess coordinator, whose results come
     from the workers.
+
+    ``previous`` is the program this one replaces after a structure epoch:
+    a module that survived it keeps its result slot (its selection is still
+    good unless a mutation point marked it — the firing that ran the
+    ``init``/``release`` marked its own module); only newcomers' slots start
+    ``None``.
     """
     if dispatch is not None:
         scan_cost = dispatch.scan_cost
@@ -401,12 +408,15 @@ def compile_plan_program(
         selectors = tuple(
             None if cls.EXTERNAL else compiled_for(cls).select for cls in classes
         )
+    survivors = (
+        dict(zip(previous.modules, previous.results)) if previous is not None else {}
+    )
     return FusedPlanProgram(
         specification=specification,
         modules=modules,
         index_of={module: i for i, module in enumerate(modules)},
         selectors=selectors,
-        results=[None] * len(modules),
+        results=[survivors.get(module) for module in modules],
         shape=shape,
     )
 
@@ -556,25 +566,19 @@ class IncrementalRoundPlanner:
         )
         if self.fused and generated_dispatch is not None:
             program = compile_plan_program(
-                self.specification, dispatch=generated_dispatch
+                self.specification, dispatch=generated_dispatch, previous=previous
             )
         else:
             # Interpreted re-evaluation (dispatch.select per dirty module):
             # only the fused walk is bound, no selectors are compiled.
-            program = compile_plan_program(self.specification, with_evaluators=False)
+            program = compile_plan_program(
+                self.specification, with_evaluators=False, previous=previous
+            )
         if previous is not None:
-            # A surviving module's selection is still good unless a mutation
-            # point marked it (the firing that ran init/release marked its
-            # own module), so carry it over and queue only the newcomers.
-            survivors = dict(zip(previous.modules, previous.results))
-            results = program.results
-            mark = self.tracker.mark
-            for index, module in enumerate(program.modules):
-                result = survivors.get(module)
+            # Survivors' selections were carried over; queue the newcomers.
+            for module, result in zip(program.modules, program.results):
                 if result is None:
-                    mark(module)
-                else:
-                    results[index] = result
+                    self.tracker.mark(module)
         self._program = program
         self._built_epoch = self.tracker.structure_epoch
         self.stats.rebuilds += 1

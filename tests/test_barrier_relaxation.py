@@ -345,6 +345,18 @@ class TestRelaxedEquivalence:
         assert counter_value(obs, "repro_parallel_barrier_rounds_total") == (
             relaxed.rounds * relaxed.workers
         )
+        # ... and indistinguishable from asking for the strict protocol:
+        # relax_barrier=False is the same loop with nobody relaxed.
+        strict_obs = Observability()
+        strict = MultiprocessBackend(relax_barrier=False).execute(
+            source, two_machine_cluster(), mapping=GroupedMapping(), obs=strict_obs
+        )
+        assert_byte_identical(strict, relaxed, "xmovie strict vs relaxed")
+        for name in (
+            "repro_parallel_barrier_rounds_total",
+            "repro_parallel_lookahead_rounds_total",
+        ):
+            assert counter_value(strict_obs, name) == counter_value(obs, name)
 
     def test_small_lookahead_window_equivalent(self):
         """The window size changes scheduling texture, never the trace."""

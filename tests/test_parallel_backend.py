@@ -403,22 +403,6 @@ class TestMultiprocessPreconditions:
                 source, two_machine_cluster(1), mapping=GroupedMapping()
             )
 
-    def test_mesh_restricted_to_connected_unit_pairs(self):
-        """Independent connections must not get channels between each other:
-        the mesh follows the specification's connectivity."""
-        from repro.runtime.parallel.backend import MultiprocessBackend as _MB  # noqa: F401
-        from repro.runtime.parallel import ChannelMesh
-
-        mesh = ChannelMesh(
-            multiprocessing.get_context("spawn"),
-            [1, 2, 3, 4],
-            pairs={(1, 2), (2, 1), (3, 4), (4, 3)},
-        )
-        inbound_1, outbound_1 = mesh.endpoints_for(1)
-        assert sorted(inbound_1) == [2] and sorted(outbound_1) == [2]
-        inbound_3, outbound_3 = mesh.endpoints_for(3)
-        assert sorted(inbound_3) == [4] and sorted(outbound_3) == [4]
-
     def test_restricted_mesh_still_trace_identical_on_two_connections(self):
         """End to end: the connectivity-derived mesh (c1 and c2 units never
         linked) must not change the byte-identical equivalence."""

@@ -1,27 +1,12 @@
-"""Unit tests for the batched inter-unit channel layer.
+"""Unit tests for the batch protocol's pure functions.
 
-The channel mesh runs inside one process here — multiprocessing queues work
-within a single process, and the protocol (round tags, one batch per peer
-per round, merge order) is what these tests pin down.  Cross-process
-behaviour is covered by ``tests/test_parallel_backend.py``.
+The wire itself — round tags, one batch per peer per round, timeouts, which
+units get links — is pinned over every transport by
+``tests/test_transport_conformance.py``; cross-process behaviour by
+``tests/test_parallel_backend.py``.
 """
 
-import multiprocessing
-
-import pytest
-
-from repro.runtime.parallel import (
-    Batch,
-    BatchChannel,
-    ChannelMesh,
-    ChannelProtocolError,
-    RoutedMessage,
-    merge_batches,
-)
-
-
-def _ctx():
-    return multiprocessing.get_context("spawn")
+from repro.runtime.parallel import Batch, RoutedMessage, merge_batches
 
 
 def message(plan_index, seq, target="a/b", ip="port", name="Msg", **params):
@@ -33,62 +18,6 @@ def message(plan_index, seq, target="a/b", ip="port", name="Msg", **params):
         interaction_name=name,
         params=tuple(sorted(params.items())),
     )
-
-
-class TestBatchChannel:
-    def test_round_trip_preserves_order_and_round_tag(self):
-        channel = BatchChannel(_ctx())
-        sent = (message(0, 0, x=1), message(0, 1, x=2))
-        channel.send_batch(4, sent)
-        batch = channel.receive_batch(4, timeout=5.0)
-        assert batch == Batch(round_index=4, messages=sent)
-
-    def test_empty_batches_flow(self):
-        channel = BatchChannel(_ctx())
-        channel.send_batch(1, ())
-        assert channel.receive_batch(1, timeout=5.0).messages == ()
-
-    def test_future_round_tag_is_a_protocol_error(self):
-        channel = BatchChannel(_ctx())
-        channel.send_batch(3, ())
-        with pytest.raises(ChannelProtocolError, match="expected the batch for round 2"):
-            channel.receive_batch(2, timeout=5.0)
-
-    def test_stale_round_tag_is_skipped_as_duplicate(self):
-        # A crashed-and-respawned sender re-sends its checkpointed round's
-        # batches; round tags strictly increase per link, so the receiver
-        # drops anything older than the round it is waiting for.
-        channel = BatchChannel(_ctx())
-        channel.send_batch(1, ())
-        channel.send_batch(2, ())
-        assert channel.receive_batch(2, timeout=5.0).round_index == 2
-
-    def test_missing_batch_times_out_with_diagnosis(self):
-        channel = BatchChannel(_ctx())
-        with pytest.raises(ChannelProtocolError, match="no batch for round 7"):
-            channel.receive_batch(7, timeout=0.05)
-
-
-class TestChannelMesh:
-    def test_full_mesh_wiring(self):
-        mesh = ChannelMesh(_ctx(), [3, 1, 2])
-        assert mesh.unit_ids == (1, 2, 3)
-        inbound, outbound = mesh.endpoints_for(2)
-        assert sorted(inbound) == [1, 3]
-        assert sorted(outbound) == [1, 3]
-        # Directionality: what 1 sends towards 2 arrives on 2's inbound from 1.
-        _, outbound_1 = mesh.endpoints_for(1)
-        outbound_1[2].send_batch(1, (message(0, 0),))
-        assert inbound[1].receive_batch(1, timeout=5.0).messages == (message(0, 0),)
-
-    def test_duplicate_unit_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate unit ids"):
-            ChannelMesh(_ctx(), [1, 1])
-
-    def test_unknown_unit_rejected(self):
-        mesh = ChannelMesh(_ctx(), [1, 2])
-        with pytest.raises(KeyError):
-            mesh.endpoints_for(9)
 
 
 class TestMergeBatches:

@@ -18,7 +18,6 @@ seeded crash schedules on top of the fixed cases.
 """
 
 import json
-import multiprocessing
 import os
 import pickle
 import urllib.error
@@ -46,12 +45,7 @@ from repro.runtime import (
     dispatch_by_name,
 )
 from repro.runtime.checkpoint import CheckpointError
-from repro.runtime.parallel import (
-    BatchChannel,
-    ChannelTimeout,
-    canonical_trace_bytes,
-    trace_diff,
-)
+from repro.runtime.parallel import canonical_trace_bytes, trace_diff
 from repro.runtime.parallel.trace import canonical_rounds
 from repro.serve import SessionEngine, StepTimeout
 from repro.serve.api import make_http_server
@@ -303,25 +297,6 @@ class TestSupervisedRecovery:
         assert canonical_trace_bytes(delayed.trace) == canonical_trace_bytes(
             reference.trace
         )
-
-
-class TestChannelTimeout:
-    def test_timeout_carries_peer_and_round(self):
-        channel = BatchChannel(multiprocessing.get_context("spawn"))
-        with pytest.raises(ChannelTimeout) as excinfo:
-            channel.receive_batch(3, timeout=0.05, peer=7)
-        error = excinfo.value
-        assert error.peer == 7
-        assert error.round_index == 3
-        assert "from unit 7" in str(error)
-        assert "round 3" in str(error)
-
-    def test_stale_duplicate_batches_are_skipped(self):
-        channel = BatchChannel(multiprocessing.get_context("spawn"))
-        channel.send_batch(1, [])  # duplicate re-sent by a respawned worker
-        channel.send_batch(2, [])
-        batch = channel.receive_batch(2, timeout=5.0)
-        assert batch.round_index == 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ quantified guards) run over TCP as well (``TCP_FUZZ_SEEDS`` to widen).
 """
 
 import os
+import socket
 from pathlib import Path
 
 import pytest
@@ -136,3 +137,41 @@ class TestTcpCrashRecovery:
         assert canonical_trace_bytes(recovered.trace) == canonical_trace_bytes(
             reference.trace
         )
+
+
+def occupy_second_of_a_free_port_pair():
+    """``(port, blocker)``: ``port`` is free, ``port + 1`` is held by ``blocker``."""
+    for _ in range(50):
+        with socket.socket() as first:
+            first.bind(("127.0.0.1", 0))
+            port = first.getsockname()[1]
+            blocker = socket.socket()
+            try:
+                blocker.bind(("127.0.0.1", port + 1))
+            except (OSError, OverflowError):
+                blocker.close()
+                continue
+            blocker.listen(1)
+            return port, blocker
+    pytest.skip("no two adjacent free ports on this host")
+
+
+class TestTcpOpenFailure:
+    def test_failed_bind_releases_the_listeners_bound_before_it(self):
+        # The mesh binds base_port, base_port + 1, ... one by one; the second
+        # bind fails.  The first listener must be closed by the time
+        # execute() has raised — not whenever the caller drops the exception
+        # (whose traceback holds the half-opened transport alive).
+        port, blocker = occupy_second_of_a_free_port_pair()
+        with blocker:
+            with pytest.raises(OSError) as excinfo:
+                MultiprocessBackend(
+                    transport="tcp", transport_options={"base_port": port}
+                ).execute(
+                    SpecSource.from_estelle_file(SPEC_DIR / "mcam_core.estelle"),
+                    example_cluster(),
+                    mapping=GroupedMapping(),
+                )
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", port))
+            del excinfo

@@ -74,14 +74,57 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown transport 'carrier-pigeon'"):
             transport_by_name("carrier-pigeon")
 
-    def test_endpoint_peer_views_follow_the_link_pairs(self):
-        transport = open_transport("mp-queue", [1, 2, 3], [(1, 2), (3, 2)])
+
+@pytest.mark.parametrize("name", TRANSPORTS)
+class TestMeshTopology:
+    """Which units and links a mesh has is the base ``Transport``'s business:
+    every transport answers the same about it."""
+
+    def test_endpoint_peer_views_follow_the_link_pairs(self, name):
+        transport = open_transport(name, [1, 2, 3], [(1, 2), (3, 2)])
         try:
             endpoint = transport.endpoint_for(2)
             assert endpoint.peers_in == (1, 3)
             assert endpoint.peers_out == ()
             assert transport.senders_to(2) == (1, 3)
             assert transport.senders_to(1) == ()
+        finally:
+            transport.close()
+
+    def test_full_mesh_by_default(self, name):
+        transport = open_transport(name, [3, 1, 2], None)
+        try:
+            assert transport.unit_ids == (1, 2, 3)
+            assert len(transport.pairs) == 6
+            endpoint = transport.endpoint_for(2)
+            assert endpoint.peers_in == (1, 3)
+            assert endpoint.peers_out == (1, 3)
+        finally:
+            transport.close()
+
+    def test_mesh_restricted_to_connected_unit_pairs(self, name):
+        """Independent connections get no links between each other: the
+        mesh follows the specification's connectivity."""
+        transport = open_transport(
+            name, [1, 2, 3, 4], {(1, 2), (2, 1), (3, 4), (4, 3)}
+        )
+        try:
+            for uid, peer in ((1, 2), (3, 4)):
+                endpoint = transport.endpoint_for(uid)
+                assert endpoint.peers_in == (peer,)
+                assert endpoint.peers_out == (peer,)
+        finally:
+            transport.close()
+
+    def test_duplicate_unit_ids_rejected(self, name):
+        with pytest.raises(ValueError, match="duplicate unit ids"):
+            transport_by_name(name).open(_ctx(), [1, 1])
+
+    def test_unknown_unit_rejected(self, name):
+        transport = open_transport(name, [1, 2], None)
+        try:
+            with pytest.raises(KeyError, match="unit 9 is not part of this mesh"):
+                transport.endpoint_for(9)
         finally:
             transport.close()
 
@@ -225,13 +268,13 @@ class TestConfiguredTimeout:
         # Regression (ISSUE 10): the backend's round_timeout_s used to stop
         # at the worker's deliver loop while the endpoint waited a hardcoded
         # 60.0 s.  configure() now installs the operator's window as the
-        # resolve_round default, so a small configured timeout surfaces as
-        # a prompt, fully-attributed ChannelTimeout.
+        # receive_batch default, so a small configured timeout surfaces as a
+        # prompt, fully-attributed ChannelTimeout.
         name, endpoints = duplex
         endpoints[2].configure(receive_timeout_s=0.1)
         started = time.perf_counter()
         with pytest.raises(ChannelTimeout) as excinfo:
-            endpoints[2].resolve_round(1, 5)
+            endpoints[2].receive_batch(1, 5)
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, "configured 0.1 s window was not applied"
         error = excinfo.value
@@ -246,7 +289,7 @@ class TestConfiguredTimeout:
         endpoints[2].configure(receive_timeout_s=30.0)
         started = time.perf_counter()
         with pytest.raises(ChannelTimeout) as excinfo:
-            endpoints[2].resolve_round(1, 5, timeout=0.05)
+            endpoints[2].receive_batch(1, 5, timeout=0.05)
         assert time.perf_counter() - started < 5.0
         assert excinfo.value.timeout_s == 0.05
 
@@ -266,11 +309,11 @@ class TestReconnectDuringInflight:
             for endpoint in (sender, receiver):
                 endpoint.connect()
             sender.send_batch(2, 1, (message(0, 0, r=1),))
-            assert receiver.resolve_round(1, 1, timeout=10.0).round_index == 1
+            assert receiver.receive_batch(1, 1, timeout=10.0).round_index == 1
 
             sender.send_batch(2, 2, (message(0, 0, r=2),))  # in flight
             sender.reconnect_peer(2)  # redial + retransmit-slot re-send
-            batch = receiver.resolve_round(1, 2, timeout=10.0)
+            batch = receiver.receive_batch(1, 2, timeout=10.0)
             assert batch.round_index == 2
             assert batch.messages[0].params == (("r", 2),)
 
@@ -278,7 +321,7 @@ class TestReconnectDuringInflight:
             # and the retransmit arrived second) must be skipped as stale
             # while resolving round 3 on the new connection.
             sender.send_batch(2, 3, (message(0, 0, r=3),))
-            batch = receiver.resolve_round(1, 3, timeout=10.0)
+            batch = receiver.receive_batch(1, 3, timeout=10.0)
             assert batch.round_index == 3
             assert batch.messages[0].params == (("r", 3),)
             assert receiver.round_window(1) == 3
@@ -293,7 +336,7 @@ class TestReconnectDuringInflight:
             pytest.skip("mp-queue-specific no-op contract")
         endpoints[1].send_batch(2, 1, (message(0, 0, r=1),))
         endpoints[1].reconnect_peer(2)
-        assert endpoints[2].resolve_round(1, 1, timeout=10.0).round_index == 1
+        assert endpoints[2].receive_batch(1, 1, timeout=10.0).round_index == 1
 
 
 class TestSendDelays:
