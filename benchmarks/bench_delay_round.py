@@ -107,37 +107,43 @@ def pacing_report() -> dict:
 
 
 def delay_matrix() -> dict:
-    """{in-process, multiprocess} × dispatch on the delayed workload."""
+    """{in-process × dispatch} ∪ {multiprocess} on the delayed workload.
+
+    Dispatch is the in-process executor's axis; the mesh plans one way
+    (ISSUE 15), so its one cell carries ``dispatch: None``.
+    """
     source = SpecSource.from_estelle_file(SPEC_PATH)
     cells = []
     all_identical = True
     reference = None
-    for dispatch in DISPATCHES:
-        for backend_name, backend in (
-            ("in-process", InProcessBackend()),
-            ("multiprocess", MultiprocessBackend()),
-        ):
-            started = time.perf_counter()
-            result = backend.execute(
-                source, build_cluster(), mapping=GroupedMapping(), dispatch=dispatch
-            )
-            wall_ms = (time.perf_counter() - started) * 1e3
-            if reference is None:
-                reference = result.trace
-            divergence = trace_diff(reference, result.trace)
-            cells.append(
-                {
-                    "backend": backend_name,
-                    "dispatch": dispatch,
-                    "rounds": result.rounds,
-                    "transitions_fired": result.transitions_fired,
-                    "simulated_time": result.simulated_time,
-                    "wall_ms": wall_ms,
-                    "traces_identical": divergence is None,
-                    "trace_divergence": divergence,
-                }
-            )
-            all_identical = all_identical and divergence is None
+    for backend_name, dispatch, backend in (
+        *(("in-process", dispatch, InProcessBackend()) for dispatch in DISPATCHES),
+        ("multiprocess", None, MultiprocessBackend()),
+    ):
+        started = time.perf_counter()
+        result = backend.execute(
+            source,
+            build_cluster(),
+            mapping=GroupedMapping(),
+            **({"dispatch": dispatch} if dispatch else {}),
+        )
+        wall_ms = (time.perf_counter() - started) * 1e3
+        if reference is None:
+            reference = result.trace
+        divergence = trace_diff(reference, result.trace)
+        cells.append(
+            {
+                "backend": backend_name,
+                "dispatch": dispatch,
+                "rounds": result.rounds,
+                "transitions_fired": result.transitions_fired,
+                "simulated_time": result.simulated_time,
+                "wall_ms": wall_ms,
+                "traces_identical": divergence is None,
+                "trace_divergence": divergence,
+            }
+        )
+        all_identical = all_identical and divergence is None
     return {"cells": cells, "all_traces_identical": all_identical}
 
 
@@ -180,6 +186,6 @@ class TestDelayRoundBench:
         matrix = benchmark.pedantic(delay_matrix, rounds=1, iterations=1)
         failures = [c for c in matrix["cells"] if not c["traces_identical"]]
         assert matrix["all_traces_identical"], failures
-        assert len(matrix["cells"]) == 6  # 2 backends × 3 dispatches
+        assert len(matrix["cells"]) == 4  # 3 in-process dispatches + the mesh
         simulated = {round(c["simulated_time"], 9) for c in matrix["cells"]}
         assert len(simulated) == 1  # one shared clock reading everywhere

@@ -203,9 +203,9 @@ def measured_vs_predicted(busy_work_us: float = BUSY_WORK_US) -> dict:
 
 
 #: The equivalence matrix of ISSUE 3 (+ the delay workload of ISSUE 4):
-#: every backend × dispatch combination must produce byte-identical
-#: canonical firing traces on every workload — including simulated time on
-#: the delay-paced xmovie stream.
+#: every in-process dispatch and the mesh over every transport must produce
+#: byte-identical canonical firing traces on every workload — including
+#: simulated time on the delay-paced xmovie stream.
 MATRIX_DISPATCHES = ("table-driven", "generated", "planner")
 MATRIX_SPECS = {
     "mcam_core.estelle": SPEC_PATH.parent / "mcam_core.estelle",
@@ -215,18 +215,21 @@ MATRIX_SPECS = {
 
 
 def equivalence_matrix() -> dict:
-    """{in-process, multiprocess × {mp-queue, tcp}} × the three dispatches.
+    """{in-process × the three dispatches} ∪ {multiprocess × {mp-queue, tcp}}.
 
     The in-process table-driven trace of each workload is the reference; a
     cell records whether its trace is byte-identical to that reference, so
-    ``traces_identical`` being true everywhere proves all nine combinations
-    per workload agree with each other.  The transport axis (ISSUE 9) is a
-    real matrix dimension, not a bypass: the tcp mesh must reproduce the
-    bytes under every dispatch, exactly like mp-queue.
+    ``traces_identical`` being true everywhere proves all five combinations
+    per workload agree with each other.  Dispatch is an axis of the
+    in-process executor only: the mesh plans one way (dirty deltas,
+    generated selectors, the slot fold — ISSUE 15), so its cells carry
+    ``dispatch: None``.  The transport axis (ISSUE 9) is a real matrix
+    dimension, not a bypass: the tcp mesh must reproduce the bytes exactly
+    like mp-queue.
 
     The multiprocess cells run with ``relax_barrier=True`` (ISSUE 10): the
     conservative-lookahead coordinator is the *default under test*, so the
-    27-cell byte-identity proof covers the relaxed round loop — and its
+    15-cell byte-identity proof covers the relaxed round loop — and its
     full-barrier fallback, which the delay-paced xmovie workload forces.
     """
     cells = []
@@ -234,43 +237,42 @@ def equivalence_matrix() -> dict:
     for spec_name, spec_path in MATRIX_SPECS.items():
         source = SpecSource.from_estelle_file(spec_path)
         reference = None
-        for dispatch in MATRIX_DISPATCHES:
-            for backend_name, transport, backend in (
-                ("in-process", None, InProcessBackend()),
-                (
-                    "multiprocess",
-                    "mp-queue",
-                    MultiprocessBackend(relax_barrier=True),
-                ),
-                (
-                    "multiprocess",
-                    "tcp",
-                    MultiprocessBackend(transport="tcp", relax_barrier=True),
-                ),
-            ):
-                result = backend.execute(
-                    source,
-                    build_cluster(PROCESSORS_PER_MACHINE),
-                    mapping=parallel_mapping(),
-                    dispatch=dispatch,
-                )
-                if reference is None:
-                    reference = result.trace
-                divergence = trace_diff(reference, result.trace)
-                cells.append(
-                    {
-                        "workload": spec_name,
-                        "backend": backend_name,
-                        "transport": transport,
-                        "relax_barrier": backend_name == "multiprocess",
-                        "dispatch": dispatch,
-                        "rounds": result.rounds,
-                        "transitions_fired": result.transitions_fired,
-                        "traces_identical": divergence is None,
-                        "trace_divergence": divergence,
-                    }
-                )
-                all_identical = all_identical and divergence is None
+        for backend_name, transport, dispatch, backend in (
+            *(
+                ("in-process", None, dispatch, InProcessBackend())
+                for dispatch in MATRIX_DISPATCHES
+            ),
+            ("multiprocess", "mp-queue", None, MultiprocessBackend(relax_barrier=True)),
+            (
+                "multiprocess",
+                "tcp",
+                None,
+                MultiprocessBackend(transport="tcp", relax_barrier=True),
+            ),
+        ):
+            result = backend.execute(
+                source,
+                build_cluster(PROCESSORS_PER_MACHINE),
+                mapping=parallel_mapping(),
+                **({"dispatch": dispatch} if dispatch else {}),
+            )
+            if reference is None:
+                reference = result.trace
+            divergence = trace_diff(reference, result.trace)
+            cells.append(
+                {
+                    "workload": spec_name,
+                    "backend": backend_name,
+                    "transport": transport,
+                    "relax_barrier": backend_name == "multiprocess",
+                    "dispatch": dispatch,
+                    "rounds": result.rounds,
+                    "transitions_fired": result.transitions_fired,
+                    "traces_identical": divergence is None,
+                    "trace_divergence": divergence,
+                }
+            )
+            all_identical = all_identical and divergence is None
     return {"cells": cells, "all_traces_identical": all_identical}
 
 
@@ -310,9 +312,9 @@ class TestParallelBackendBench:
         assert light["in_process_wall_s"] > 0
 
     def test_equivalence_matrix_all_cells_identical(self, benchmark):
-        """Every backend × dispatch cell must match the reference trace."""
+        """Every cell must match the in-process table-driven reference trace."""
         matrix = benchmark.pedantic(equivalence_matrix, rounds=1, iterations=1)
         failures = [c for c in matrix["cells"] if not c["traces_identical"]]
         assert matrix["all_traces_identical"], failures
-        # 3 workloads × 3 dispatches × {in-process, mp over mp-queue, mp over tcp}
-        assert len(matrix["cells"]) == 27
+        # 3 workloads × {3 in-process dispatches + mp over mp-queue + mp over tcp}
+        assert len(matrix["cells"]) == 15

@@ -40,7 +40,6 @@ from repro.sim.metrics import percentile
 SPEC_PATH = Path(__file__).parent.parent / "examples" / "specs" / "mcam_sessions.estelle"
 SESSIONS = int(os.environ.get("RESIL_SESSIONS", "50"))
 MAX_ROUNDS = int(os.environ.get("RESIL_MAX_ROUNDS", "60"))
-DISPATCH = "planner"
 CRASH = WorkerCrash(unit=1, round_index=2)
 
 
@@ -54,15 +53,13 @@ def _cluster() -> Cluster:
 def recovery_overhead(source: SpecSource) -> dict:
     """Fault-free vs crashed-and-recovered multiprocess runs."""
     reference = InProcessBackend().execute(
-        source, _cluster(), mapping=GroupedMapping(), dispatch=DISPATCH,
-        max_rounds=MAX_ROUNDS,
+        source, _cluster(), mapping=GroupedMapping(), max_rounds=MAX_ROUNDS,
     )
     reference_bytes = canonical_trace_bytes(reference.trace)
 
     started = time.perf_counter()
     clean = MultiprocessBackend().execute(
-        source, _cluster(), mapping=GroupedMapping(), dispatch=DISPATCH,
-        max_rounds=MAX_ROUNDS,
+        source, _cluster(), mapping=GroupedMapping(), max_rounds=MAX_ROUNDS,
     )
     clean_seconds = time.perf_counter() - started
 
@@ -70,8 +67,7 @@ def recovery_overhead(source: SpecSource) -> dict:
     plan = FaultPlan(worker_crashes=(CRASH,))
     started = time.perf_counter()
     recovered = MultiprocessBackend().execute(
-        source, _cluster(), mapping=GroupedMapping(), dispatch=DISPATCH,
-        max_rounds=MAX_ROUNDS, obs=obs, fault_plan=plan,
+        source, _cluster(), mapping=GroupedMapping(), max_rounds=MAX_ROUNDS, obs=obs, fault_plan=plan,
     )
     recovered_seconds = time.perf_counter() - started
 
@@ -96,14 +92,14 @@ def recovery_overhead(source: SpecSource) -> dict:
 
 def persistence_latency(source: SpecSource, sessions: int, state_dir: str) -> dict:
     """Checkpoint + restart a session population; verify one trace suffix."""
-    with SessionEngine(default_dispatch=DISPATCH) as reference_engine:
+    with SessionEngine() as reference_engine:
         ref_id = reference_engine.create_session(source)
         reference_engine.run_to_quiescence(ref_id)
         reference_rounds = canonical_rounds(
             reference_engine._session(ref_id).executor.trace
         )
 
-    first = SessionEngine(default_dispatch=DISPATCH, state_dir=state_dir)
+    first = SessionEngine(state_dir=state_dir)
     ids = [first.create_session(source) for _ in range(sessions)]
     for sid in ids:
         first.step(sid, rounds=5)
@@ -117,7 +113,7 @@ def persistence_latency(source: SpecSource, sessions: int, state_dir: str) -> di
     first.shutdown()
 
     restore_started = time.perf_counter()
-    second = SessionEngine(default_dispatch=DISPATCH, state_dir=state_dir)
+    second = SessionEngine(state_dir=state_dir)
     restore_seconds = time.perf_counter() - restore_started
     try:
         restored = len(second.session_ids())
@@ -148,7 +144,6 @@ def resilience_results(sessions: int = SESSIONS) -> dict:
     source = SpecSource.from_estelle_file(SPEC_PATH)
     record = {
         "workload": str(SPEC_PATH.relative_to(SPEC_PATH.parents[2])),
-        "dispatch": DISPATCH,
         "max_rounds": MAX_ROUNDS,
         "recovery": recovery_overhead(source),
     }

@@ -38,7 +38,6 @@ from repro.sim.metrics import percentile
 SPEC_PATH = Path(__file__).parent.parent / "examples" / "specs" / "mcam_sessions.estelle"
 SESSIONS = int(os.environ.get("SERVE_LOAD_SESSIONS", "1000"))
 SLICE_ROUNDS = int(os.environ.get("SERVE_LOAD_SLICE", "7"))
-DISPATCH = "planner"
 #: sessions whose full trace is compared against the sequential reference.
 EQUIVALENCE_SAMPLE = 25
 #: CI floor: the service must clear this on a 1-CPU runner with headroom
@@ -48,7 +47,7 @@ SESSIONS_PER_SEC_FLOOR = 25.0
 
 def reference_trace_bytes(source: SpecSource):
     """Canonical bytes of one session run sequentially to quiescence."""
-    with SessionEngine(default_dispatch=DISPATCH) as engine:
+    with SessionEngine() as engine:
         sid = engine.create_session(source)
         engine.run_to_quiescence(sid)
         trace = engine._session(sid).executor.trace
@@ -60,7 +59,7 @@ def serve_load_results(sessions: int = SESSIONS) -> dict:
     source = SpecSource.from_estelle_file(SPEC_PATH)
     reference_bytes, reference = reference_trace_bytes(source)
 
-    engine = SessionEngine(default_dispatch=DISPATCH, workers=8)
+    engine = SessionEngine(workers=8)
     started = time.perf_counter()
 
     spawn_latencies = []
@@ -107,7 +106,6 @@ def serve_load_results(sessions: int = SESSIONS) -> dict:
     total_seconds = finished - started
     return {
         "workload": str(SPEC_PATH.relative_to(SPEC_PATH.parents[2])),
-        "dispatch": DISPATCH,
         "sessions": sessions,
         "peak_sessions": stats["peak_sessions"],
         "slice_rounds": SLICE_ROUNDS,

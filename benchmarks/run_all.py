@@ -14,20 +14,22 @@ history), so the repository carries its own perf trajectory:
 * the E-PAR parallel-backend record: the multiprocess backend's *measured*
   wall-clock speedup on the OSI transfer workload next to the cost model's
   *predicted* speedup (with a ``comparable`` honesty flag for undersized
-  hosts), the trace-equivalence verdict, and the full
-  {backend} x {table-driven, generated, planner} equivalence matrix (see
-  ROADMAP.md, "Execution backends", for how to read the numbers),
+  hosts), the trace-equivalence verdict, and the full {in-process} x
+  {table-driven, generated, planner} + {multiprocess} x {mp-queue, tcp}
+  equivalence matrix (dispatch is the in-process executor's axis; the mesh
+  plans one way),
 * the E-PLAN round-planner record: the incremental fused planner's
   planning+selection time against the interpreted full rescan over a
   module-count sweep (ROADMAP.md, "Hot path"),
 * the E-DELAY record: the delay-paced xmovie stream workload — the paced
   vs delay-stripped schedule (pinning the old silently-ignored-delay bug)
-  and the {backend} x {dispatch} equivalence matrix on the delayed spec,
-  including identical simulated-time stamps,
+  and the {in-process x dispatch} + {multiprocess} equivalence matrix on
+  the delayed spec, including identical simulated-time stamps,
 * the E-DYN record: the dynamic-topology mcam_sessions workload — session
   handler modules spawned/released at runtime through Estelle init/release,
-  the planner's structure-epoch/rebuild accounting, and the full
-  {backend} x {dispatch} equivalence matrix on the dynamic spec,
+  the planner's structure-epoch/rebuild accounting, and the
+  {in-process x dispatch} + {multiprocess} equivalence matrix on the
+  dynamic spec,
 * the E-SERVE record: the multi-session service under load — 1000
   concurrent mcam_sessions instances through ``repro.serve``, with
   sessions/sec, p50/p99 step latency, the registry's compile-once count
@@ -119,6 +121,17 @@ def _load_bench_module(name: str):
     return module
 
 
+def _cell_label(cell: dict) -> str:
+    """``[workload/]backend/axis`` of one equivalence-matrix cell: the axis
+    is the dispatch in-process and the transport (where recorded) on the mesh."""
+    parts = (
+        cell.get("workload"),
+        cell["backend"],
+        cell["dispatch"] or cell.get("transport"),
+    )
+    return "/".join(part for part in parts if part)
+
+
 def _round_floats(mapping: dict) -> dict:
     return {
         key: (round(value, 4) if isinstance(value, float) else value)
@@ -140,7 +153,7 @@ def dispatch_selection_results() -> dict:
 
 def parallel_backend_results() -> dict:
     """E-PAR: measured multiprocess speedup next to the model's prediction,
-    plus the full {backend} x {dispatch} trace-equivalence matrix."""
+    plus the full trace-equivalence matrix."""
     module = _load_bench_module("bench_parallel_backend")
     rounded = _round_floats(module.measured_vs_predicted())
     rounded["workload"] = "examples/specs/osi_transfer.estelle"
@@ -271,7 +284,7 @@ def main(argv=None) -> int:
         return 1
     if not parallel["equivalence_matrix"]["all_traces_identical"]:
         bad = [
-            f"{cell['workload']}/{cell['backend']}/{cell['dispatch']}"
+            _cell_label(cell)
             for cell in parallel["equivalence_matrix"]["cells"]
             if not cell["traces_identical"]
         ]
@@ -311,7 +324,7 @@ def main(argv=None) -> int:
     delay_round = run_entry["delay_round"]
     if not delay_round["matrix"]["all_traces_identical"]:
         bad = [
-            f"{cell['backend']}/{cell['dispatch']}"
+            _cell_label(cell)
             for cell in delay_round["matrix"]["cells"]
             if not cell["traces_identical"]
         ]
@@ -326,7 +339,7 @@ def main(argv=None) -> int:
     dynamic = run_entry["dynamic_topology"]
     if not dynamic["matrix"]["all_traces_identical"]:
         bad = [
-            f"{cell['backend']}/{cell['dispatch']}"
+            _cell_label(cell)
             for cell in dynamic["matrix"]["cells"]
             if not cell["traces_identical"]
         ]
@@ -440,16 +453,14 @@ def main(argv=None) -> int:
         f"session handler(s) spawned, {dynamic['dynamic']['sessions_released']} "
         f"released, planner rebuilt {dynamic['dynamic']['planner_rebuilds']}x "
         f"for {dynamic['dynamic']['structure_epoch_bumps']} epoch bumps; "
-        f"{len(dynamic['matrix']['cells'])} backend x dispatch cells "
-        "byte-identical"
+        f"{len(dynamic['matrix']['cells'])} matrix cells byte-identical"
     )
     print(
         f"delay round: xmovie paced at >= {delay_round['pacing']['frame_delay']} "
         f"sim units/frame (paced sim time "
         f"{delay_round['pacing']['paced']['simulated_time']} vs undelayed "
         f"{delay_round['pacing']['undelayed']['simulated_time']}); "
-        f"{len(delay_round['matrix']['cells'])} backend x dispatch cells "
-        "byte-identical"
+        f"{len(delay_round['matrix']['cells'])} matrix cells byte-identical"
     )
     print(
         f"round planner: {planner['largest_point_speedup']}x less "

@@ -726,10 +726,13 @@ class ExecutionBackend:
     """Interface: run a specification (from a :class:`SpecSource`) to
     quiescence and report the firing trace plus measured timings.
 
-    ``dispatch`` is passed by *name* (plus kwargs) rather than as an
-    instance because dispatch strategies hold per-class caches of compiled
-    selectors and guard closures that cannot cross process boundaries; each
-    process reconstructs its own strategy from the name.
+    ``dispatch`` is passed by *name* (plus kwargs), checked against the
+    strategy registry by every backend.  The in-process backend builds the
+    named strategy — that is where hard-coded, table-driven, generated and
+    planner selection are compared (the paper's E4/E5).  The multiprocess
+    backend has no such axis: its workers always evaluate dirty modules
+    through the generated selectors and its round plans are always the slot
+    fold, so there the name selects nothing (as ``scheduler`` does not).
     """
 
     name = "abstract"

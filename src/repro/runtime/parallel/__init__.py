@@ -10,10 +10,13 @@ Pieces:
 
 * :mod:`.backend` — :class:`MultiprocessBackend` (registered with
   :func:`repro.runtime.executor.backend_by_name` under ``"multiprocess"``)
-  and the coordinator-side round planner,
+  and the coordinator loop,
 * :mod:`.worker` — the per-unit worker process (rebuilds the specification
   from a picklable :class:`~repro.runtime.executor.SpecSource`, selects,
   fires, routes),
+* :mod:`.fold` — the slot fold: selection summaries in, round plan out; the
+  one way a round is planned on the mesh, by the coordinator and by a
+  relaxed worker alike,
 * :mod:`.channels` — the batch protocol's types and pure functions (round
   tags, batch encoding, link-set normalisation, ``(plan_index, seq)`` merge
   order); it touches no queue and no socket,

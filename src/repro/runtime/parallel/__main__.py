@@ -6,9 +6,10 @@ This is the command CI runs on every supported Python version::
 
 It builds a cluster from the specification's placement comments (one machine
 per distinct ``at`` location, ``--processors`` processors each), executes the
-spec on the in-process backend and on the multiprocess backend under the
-same grouped mapping, and exits non-zero with a pinpointed diff if the
-canonical firing traces differ by even one byte.
+spec on the in-process backend (the interpreted ``table-driven`` walk, the
+repo's reference oracle) and on the multiprocess backend under the same
+grouped mapping, and exits non-zero with a pinpointed diff if the canonical
+firing traces differ by even one byte.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ def main(argv=None) -> int:
         default=1,
         help="processors per machine (bounds units per machine under the "
         "grouped mapping; default 1)",
-    )
-    parser.add_argument(
-        "--dispatch",
-        default="table-driven",
-        help="dispatch strategy name (table-driven, hard-coded, generated, "
-        "planner — the incremental fused round planner)",
     )
     parser.add_argument("--max-rounds", type=int, default=1000)
     parser.add_argument(
@@ -93,7 +88,6 @@ def main(argv=None) -> int:
             source,
             cluster,
             mapping=GroupedMapping(),
-            dispatch=args.dispatch,
             max_rounds=args.max_rounds,
             busy_work_us_per_cost=args.busy_work_us,
         )

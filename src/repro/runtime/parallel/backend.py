@@ -9,13 +9,15 @@ boundaries through batched, round-tagged transport links; one pipe lane
 per worker carries the coordinator's commands and the worker's results.
 
 The coordinator keeps the one job that is inherently global and cheap — the
-Estelle precedence walk.  Workers report per-module selection results; the
-coordinator writes them into the result slots of the planner's generated
-walk (:func:`repro.runtime.planner.compile_plan_program` — the walk the
-in-process planner runs) and sends each unit its share of the plan.  This
-is exactly the split the paper describes: the per-module checks — the part
-measured at up to 80% of runtime — run in parallel; the combination is a
-tree fold over booleans.
+Estelle precedence walk.  Workers report the selection results of the
+modules that changed; the coordinator folds them (:mod:`.fold`: result
+slots under the planner's generated walk, the one the in-process planner
+runs) and sends each unit its share of the plan.  This is exactly the split
+the paper describes: the per-module checks — the part measured at up to 80%
+of runtime — run in parallel; the combination is a tree fold over booleans.
+There is one way to plan on the mesh — dirty deltas, generated selectors,
+the slot fold — and no dispatch strategy to choose: hard-coded against
+table-driven is the in-process executor's measured comparison.
 
 Equivalence with the in-process backend is *byte-level* on the canonical
 firing trace (:mod:`repro.runtime.parallel.trace`): same rounds, same
@@ -41,12 +43,11 @@ from typing import (
 )
 
 from ...estelle.errors import SchedulingError
-from ...estelle.module import Module
 from ...estelle.specification import Specification
 from ...obs import NULL_OBS, Observability
 from ...sim.machine import Cluster
 from ..clock import SimulatedClock, firing_advance
-from ..dispatch import DispatchResult
+from ..dispatch import dispatch_by_name
 from ..executor import (
     BackendResult,
     ExecutionBackend,
@@ -54,14 +55,19 @@ from ..executor import (
     register_backend,
 )
 from ..mapping import MappingStrategy, SystemMapping, ThreadPerModuleMapping
-from ..planner import compile_plan_program
 from ..scheduler import RoundPlan, Scheduler
 from ..tracing import ExecutionTrace, FiringEvent
+from .fold import (
+    AssignedFiring,
+    ParallelExecutionError,
+    SelectionSummary,
+    _RoundPlanner,
+    _root_of,
+    assigned_firings,
+)
 from .transport import Transport, transport_by_name
 from .worker import (
-    AssignedFiring,
     FiringReport,
-    SelectionSummary,
     UnitDescriptor,
     WorkerConfig,
     _declares_delay,
@@ -105,16 +111,6 @@ def _relaxable_units(
             continue
         relaxed.add(unit.uid)
     return frozenset(relaxed)
-
-
-def _root_of(path: str) -> str:
-    """The system root a module path lies under: paths are
-    ``<spec>/<root>/...``, so the first two segments name it."""
-    return "/".join(path.split("/", 2)[:2])
-
-
-class ParallelExecutionError(SchedulingError):
-    """A worker died, timed out, or violated the round protocol."""
 
 
 class _Lane(NamedTuple):
@@ -434,138 +430,6 @@ class _Supervisor:
         )
 
 
-class _RoundPlanner:
-    """Folds worker selection summaries into the global round plan.
-
-    Each module of the coordinator's replica has a result slot in a
-    walk-only :func:`repro.runtime.planner.compile_plan_program`; a summary
-    overwrites its module's slot and the generated walk replays the Estelle
-    precedence rules over the slots.  A worker may report its whole shard
-    every round or, under the ``"planner"`` dispatch, only the modules that
-    changed — a slot nobody reported keeps its previous result, and a slot
-    nobody *ever* reported fails the round.  The replica is structurally
-    accurate (module tree, attributes, connections) but behaviourally stale:
-    it never fires, so the workers' results are the only selection input.
-    """
-
-    def __init__(self, specification: Specification) -> None:
-        self.specification = specification
-        self._transition_cache: Dict[Tuple[type, str], Any] = {}
-        #: queued interactions per module, as last reported (a module nobody
-        #: re-reports cannot have changed — queue mutations mark it dirty).
-        self._pending: Dict[Module, int] = {}
-        self._program = None
-        self._rebuild_program()
-
-    def mask_roots(self, root_paths) -> None:
-        """Exclude relaxed units' system subtrees from the coordinator fold.
-
-        A masked root is wholly owned by one relaxed execution unit, which
-        plans it locally (its restricted precedence walk equals the global
-        plan's projection — precedence never crosses system subtrees).  The
-        coordinator fold then covers only the barrier units' roots: the
-        masked slots are pinned to a non-firing placeholder, so the
-        whole-specification walk stays well-formed without any worker ever
-        reporting for them.
-        """
-        masked = frozenset(root_paths)
-        placeholder = DispatchResult(
-            transition=None, examined=0, cost=0.0, external=False
-        )
-        results = self._program.results
-        for index, module in enumerate(self._program.modules):
-            if _root_of(module.path) in masked:
-                results[index] = placeholder
-
-    def note_structure_change(self) -> None:
-        """A replayed init/release changed the coordinator replica's tree.
-
-        The walk program is re-bound lazily at the next :meth:`plan` call;
-        surviving modules keep their slots (the structure epoch's
-        coordinator-side counterpart).
-        """
-        self._shape_changed = True
-
-    def _rebuild_program(self) -> None:
-        # Walk-only: the result slots are refreshed from worker summaries,
-        # so no selectors are compiled coordinator-side.  Slots for newly
-        # created modules start unfilled; the worker owning them observed
-        # the same structure-epoch bump and re-reports its full shard, so
-        # they are filled by this round's summaries.  (A masked root's
-        # subtree never changes coordinator-side — its topology events are
-        # not replayed — so its pins carry over with the survivors.)
-        self._program = compile_plan_program(
-            self.specification, with_evaluators=False, previous=self._program
-        )
-        self._index_by_path = {
-            module.path: index for index, module in enumerate(self._program.modules)
-        }
-        self._pending = {
-            module: pending
-            for module, pending in self._pending.items()
-            if module in self._program.index_of
-        }
-        self._shape_changed = False
-
-    def _resolve_transition(self, module, name: str):
-        key = (type(module), name)
-        transition = self._transition_cache.get(key)
-        if transition is None:
-            try:
-                transition = type(module)._transition_declarations[name]
-            except KeyError as exc:
-                raise ParallelExecutionError(
-                    f"worker selected unknown transition {name!r} "
-                    f"for module {module.path!r}"
-                ) from exc
-            self._transition_cache[key] = transition
-        return transition
-
-    def plan(self, summaries: Dict[str, SelectionSummary]) -> RoundPlan:
-        """Write ``summaries`` into their slots, then run the generated walk."""
-        if self._shape_changed:
-            self._rebuild_program()
-        results = self._program.results
-        plan = RoundPlan()
-        for path, summary in summaries.items():
-            _, transition_name, external, examined, cost, pending = summary
-            try:
-                index = self._index_by_path[path]
-            except KeyError as exc:
-                raise ParallelExecutionError(
-                    f"worker reported a selection for unknown module {path!r}"
-                ) from exc
-            module = self._program.modules[index]
-            transition = (
-                self._resolve_transition(module, transition_name)
-                if transition_name is not None
-                else None
-            )
-            results[index] = DispatchResult(
-                transition=transition, examined=examined, cost=cost, external=external
-            )
-            self._pending[module] = pending
-            plan.examined_costs[path] = cost
-        plan.examined_modules = len(summaries)
-        if None in results:
-            missing = [
-                module.path
-                for module, result in zip(self._program.modules, results)
-                if result is None
-            ]
-            raise ParallelExecutionError(
-                f"no selection summary for module(s) {missing}; the first "
-                "round (and the first round after a topology change) must "
-                "cover every module of the owning worker's shard"
-            )
-        self._program.shape.walk(self._program, plan.firings)
-        return plan
-
-    def has_pending(self) -> bool:
-        """Whether any module reported queued interactions (deadlock check)."""
-        return any(self._pending.values())
-
-
 @register_backend
 class MultiprocessBackend(ExecutionBackend):
     """Run a specification with one worker process per execution unit.
@@ -650,11 +514,16 @@ class MultiprocessBackend(ExecutionBackend):
         shard checkpointing plus crash recovery (respawn-from-checkpoint);
         it defaults to on exactly when a fault plan is present, and to off
         otherwise, so the unsupervised fast path is byte-for-byte the
-        pre-resilience protocol.  ``scheduler`` is part of the
-        :class:`ExecutionBackend` signature and unused here: the mesh folds
-        worker results through the planner's generated precedence walk.
+        pre-resilience protocol.  ``scheduler``, ``dispatch`` and
+        ``dispatch_kwargs`` are part of the :class:`ExecutionBackend`
+        signature and select nothing here: every worker evaluates its dirty
+        modules through the generated selectors and every round plan is the
+        slot fold of :mod:`.fold`, whatever is passed.  The dispatch name
+        is still held to the strategy registry, so a misspelt one fails
+        here as it does in-process — before anything is spawned.
         """
         del scheduler
+        dispatch_by_name(dispatch, **(dispatch_kwargs or {}))
         obs = obs if obs is not None else NULL_OBS
         supervised = supervise if supervise is not None else fault_plan is not None
         specification = source.build()
@@ -734,8 +603,6 @@ class MultiprocessBackend(ExecutionBackend):
                     source=source,
                     unit_uid=unit.uid,
                     units=units,
-                    dispatch_name=dispatch,
-                    dispatch_kwargs=tuple(sorted((dispatch_kwargs or {}).items())),
                     transition_cost_scale=cost_scale,
                     busy_work_us_per_cost=busy_work_us_per_cost,
                     channel_timeout_s=self.round_timeout_s,
@@ -763,17 +630,12 @@ class MultiprocessBackend(ExecutionBackend):
             )
 
             planner = _RoundPlanner(specification)
-            if relaxed_uids:
-                planner.mask_roots(
-                    root.path
-                    for root in specification.system_modules()
-                    if {
-                        owner_of[m.path]
-                        for m in root.walk()
-                        if m.path in owner_of
-                    }
-                    <= relaxed_uids
-                )
+            # A relaxed unit wholly owns every root it touches, and plans it.
+            planner.mask_roots(
+                _root_of(path)
+                for uid in relaxed_uids
+                for path in unit_by_uid[uid].module_paths
+            )
             # The delay clock's single authority: the coordinator owns the
             # time, broadcasts it with every "select", and advances it by the
             # busiest unit's firing-cost sum per round — the identical
@@ -1079,8 +941,8 @@ class MultiprocessBackend(ExecutionBackend):
         assignments: Dict[int, List[AssignedFiring]] = {
             uid: [] for uid in unit_uids
         }
-        for plan_index, firing in enumerate(plan.firings):
-            path = firing.module.path
+        for firing in assigned_firings(plan):
+            path = firing[1]
             try:
                 target_uid = owner_of[path]
             except KeyError as exc:
@@ -1096,16 +958,7 @@ class MultiprocessBackend(ExecutionBackend):
                     "which is not part of this fold (a relaxed unit's module "
                     "leaked into the masked coordinator plan?)"
                 )
-            assignments[target_uid].append(
-                (
-                    plan_index,
-                    path,
-                    firing.result.transition.name
-                    if firing.result.transition
-                    else None,
-                    firing.is_external,
-                )
-            )
+            assignments[target_uid].append(firing)
         return assignments
 
     def _record_reports(

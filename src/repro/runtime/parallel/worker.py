@@ -7,9 +7,11 @@ done in parallel."*  Concretely, per computation round a worker
 
 1. **delivers** the previous round's inbound interaction batches (one per
    peer unit, merged into global order) into its modules' IP queues,
-2. **selects** — evaluates the dispatch strategy against every owned module
-   and reports the per-module results to the coordinator, which combines
-   them with the Estelle precedence rules into the global round plan,
+2. **selects** — evaluates the generated selectors against the owned modules
+   that changed since its last report (the dirty set; the whole shard in
+   round 1 and after a local ``init``/``release``) and reports the results
+   to the coordinator, which folds them through the Estelle precedence walk
+   into the global round plan,
 3. **fires** the transitions the plan assigned to this unit, capturing the
    interactions that cross unit boundaries, and flushes exactly one
    round-tagged batch per peer unit before it replies ``fired``.
@@ -48,12 +50,17 @@ from ..checkpoint import (
     feed_deadline_hooks,
     restore_modules,
 )
-from ..clock import SimulatedClock, next_delay_deadline
-from ..dispatch import dispatch_by_name
+from ..clock import SimulatedClock
 from ..executor import SpecSource, busy_work_for
-from ..planner import PLANNER_DISPATCH_NAME
-from ..scheduler import DecentralisedScheduler
+from ..planner import PlannerDispatch
 from .channels import ChannelTimeout, RoutedMessage, merge_batches
+from .fold import (
+    AssignedFiring,
+    SelectionSummary,
+    _RoundPlanner,
+    _root_of,
+    assigned_firings,
+)
 from .transport import TransportEndpoint
 
 #: Exit code of a deterministically injected worker crash (repro.faults).
@@ -80,8 +87,6 @@ class WorkerConfig:
     source: SpecSource
     unit_uid: int
     units: Tuple[UnitDescriptor, ...]
-    dispatch_name: str = "table-driven"
-    dispatch_kwargs: Tuple[Tuple[str, Any], ...] = ()
     transition_cost_scale: float = 1.0
     busy_work_us_per_cost: float = 0.0
     channel_timeout_s: float = 60.0
@@ -105,13 +110,6 @@ class WorkerConfig:
     #: barrier round (see MultiprocessBackend ``relax_barrier``).
     relaxed: bool = False
 
-
-#: One module's selection outcome, reported to the coordinator:
-#: (path, transition name or None, external?, examined, cost, pending).
-SelectionSummary = Tuple[str, Optional[str], bool, int, float, int]
-
-#: One assigned firing: (plan index, path, transition name or None, external?).
-AssignedFiring = Tuple[int, str, Optional[str], bool]
 
 #: A tree-shape change caused by a firing, replayable on another replica:
 #: ("init", parent path, child name, class name, ((var, value), ...)) or
@@ -181,9 +179,7 @@ class WorkerRuntime:
             raise SchedulingError(
                 f"unit mapping names modules the rebuilt specification lacks: {missing}"
             )
-        self.dispatch = dispatch_by_name(
-            config.dispatch_name, **dict(config.dispatch_kwargs)
-        )
+        self.dispatch = PlannerDispatch()
         # The delay clock is coordinator-authoritative: every "select"
         # command carries the current simulated time, which the worker copies
         # onto its replica's clock before evaluating (delay timers and
@@ -196,10 +192,6 @@ class WorkerRuntime:
         self._outgoing: Dict[int, List[RoutedMessage]] = {
             peer: [] for peer in endpoint.peers_out
         }
-        # Under the incremental planner ("planner" dispatch) a worker
-        # re-evaluates only the dirty part of its shard and reports summary
-        # *deltas*; the coordinator caches the rest (ISSUE 3).
-        self.incremental = config.dispatch_name == PLANNER_DISPATCH_NAME
         # The *dynamic* shard: seeded with the mapping's static assignment,
         # grown when a local firing creates a child (dynamic children run on
         # their parent's execution unit) and shrunk when one is released
@@ -208,11 +200,12 @@ class WorkerRuntime:
         self._owned: Dict[str, None] = {
             path: None for path in self.unit.module_paths
         }
-        self._tracker: Optional[DirtyTracker] = (
-            DirtyTracker.attach(self.specification) if self.incremental else None
-        )
-        self._selected_once = False
-        self._last_epoch = self._tracker.structure_epoch if self._tracker else 0
+        # A worker re-evaluates only the dirty part of its shard and reports
+        # summary *deltas*; whoever folds them caches the rest.
+        self._tracker = DirtyTracker.attach(self.specification)
+        #: the structure epoch the last full-shard report covered (None:
+        #: nothing reported yet, or a restore invalidated it).
+        self._reported_epoch: Optional[int] = None
         # Tree-shape changes caused by local firings, captured through the
         # module-level topology hook and reported to the coordinator with
         # the firing that caused them (ISSUE 5).  Installing the hook after
@@ -220,20 +213,21 @@ class WorkerRuntime:
         self._topology_events: List[TopologyEvent] = []
         for module in self.specification.root.walk():
             module._topology_hook = self._topology_events.append
-        # Conservative lookahead (relaxed units only): this unit's system
-        # subtrees, in specification declaration order.  System modules are
-        # mutually independent — precedence never crosses system subtrees —
-        # so restricting the Estelle precedence walk to the owned roots
-        # yields exactly the global plan's projection onto this unit.
-        own_roots = {
-            "/".join(path.split("/", 2)[:2]) for path in self.unit.module_paths
-        }
-        self._own_roots = tuple(
-            root
-            for root in self.specification.system_modules()
-            if root.path in own_roots
-        )
-        self._local_scheduler = DecentralisedScheduler()
+        # Conservative lookahead (relaxed units only): the unit folds its
+        # own summaries, as the coordinator does the barrier units', over
+        # its live tree with every system root it does not own masked.
+        # System modules are mutually independent — precedence never crosses
+        # system subtrees — so that fold yields exactly the global plan's
+        # projection onto this unit.
+        self._fold: Optional[_RoundPlanner] = None
+        if config.relaxed:
+            own_roots = {_root_of(path) for path in self.unit.module_paths}
+            self._fold = _RoundPlanner(self.specification)
+            self._fold.mask_roots(
+                root.path
+                for root in self.specification.system_modules()
+                if root.path not in own_roots
+            )
 
     # -- the three phases ----------------------------------------------------------
 
@@ -274,34 +268,26 @@ class WorkerRuntime:
         when no timer is running) — the coordinator jumps the clock to the
         minimum over all workers when a round plan comes up empty.
 
-        With the incremental planner the evaluated set shrinks to the shard's
-        *dirty* modules (changed state or queues since the previous round,
-        plus modules woken by an expired delay deadline) and the returned
-        summaries are a delta; otherwise the whole shard is evaluated and
-        reported, every round.
+        The evaluated set is the shard's *dirty* modules (changed state or
+        queues since the previous round, plus modules woken by an expired
+        delay deadline) and the returned summaries are a delta.
         """
         self.clock.now = now
-        if self._tracker is not None:
-            self._tracker.wake_due(now)
-            epoch = self._tracker.structure_epoch
-            if self._selected_once and epoch == self._last_epoch:
-                dirty = self._tracker.drain()
-                paths: List[str] = sorted(
-                    module.path
-                    for module in dirty
-                    if module.path in self._owned
-                )
-            else:
-                # Round 1 seeds the coordinator's cache with the full shard;
-                # a structure-epoch bump (a local init/release last round)
-                # re-reports the full — possibly re-shaped — shard so the
-                # coordinator's rebuilt program has every slot filled.
-                self._tracker.drain()
-                paths = list(self._owned)
-                self._selected_once = True
-                self._last_epoch = epoch
+        self._tracker.wake_due(now)
+        epoch = self._tracker.structure_epoch
+        if epoch == self._reported_epoch:
+            dirty = self._tracker.drain()
+            paths: List[str] = sorted(
+                module.path for module in dirty if module.path in self._owned
+            )
         else:
+            # Round 1 seeds the fold's slots with the full shard; a
+            # structure-epoch bump (a local init/release last round)
+            # re-reports the full — possibly re-shaped — shard so the
+            # rebuilt walk program has every slot filled.
+            self._tracker.drain()
             paths = list(self._owned)
+            self._reported_epoch = epoch
         summaries: List[SelectionSummary] = []
         for path in paths:
             module = self.modules[path]
@@ -311,18 +297,10 @@ class WorkerRuntime:
                     path,
                     result.transition.name if result.transition else None,
                     result.external,
-                    result.examined,
-                    result.cost,
                     module.pending_interactions(),
                 )
             )
-        if self._tracker is not None:
-            deadline = self._tracker.next_deadline()
-        else:
-            deadline = next_delay_deadline(
-                (self.modules[path] for path in self._owned), now
-            )
-        return summaries, deadline
+        return summaries, self._tracker.next_deadline()
 
     def fire(
         self, round_index: int, firings: Tuple[AssignedFiring, ...]
@@ -412,10 +390,10 @@ class WorkerRuntime:
     ) -> Tuple[int, List[FiringReport], ObsDelta, int]:
         """Run one computation round entirely locally (no coordinator fold).
 
-        A relaxed unit wholly owns its system subtrees, so the restricted
-        precedence walk over ``self._own_roots`` *is* the global plan's
-        projection onto this unit; and it is delay-free, so the plan does not
-        depend on the simulated clock.  The round is still paced by the
+        A relaxed unit wholly owns its system subtrees, so folding its own
+        ``select()`` over them *is* the global plan's projection onto this
+        unit; and it is delay-free, so the plan does not depend on the
+        simulated clock.  The round is still paced by the
         mesh: ``deliver_pending`` blocks per inbound link on the previous
         round's batch (a peer — barrier or relaxed — that has not finished
         that round yet holds this unit back exactly one round), and the
@@ -425,38 +403,23 @@ class WorkerRuntime:
         *planned* firings (before any released-module skip, i.e. the local
         plan's emptiness as the in-process executor would see it), the
         firing reports, the usual observability delta (sync is the
-        inbound-pacing wait, as in a strict round), and the number of
-        queued interactions (only counted when the plan was empty — the
-        coordinator's deadlock verdict needs it then).
+        inbound-pacing wait, as in a strict round), and whether any owned
+        module has interactions queued (1 or 0; only looked at when the plan
+        was empty — the coordinator's deadlock verdict needs it then).
         """
         phase_started = time.perf_counter()
         self.deliver_pending()
         sync_seconds = time.perf_counter() - phase_started
-        plan = self._local_scheduler.plan_round(
-            self.specification, self.dispatch, roots=self._own_roots
-        )
-        firings: Tuple[AssignedFiring, ...] = tuple(
-            (
-                index,
-                planned.module.path,
-                planned.result.transition.name
-                if planned.result.transition
-                else None,
-                planned.is_external,
-            )
-            for index, planned in enumerate(plan.firings)
-        )
+        summaries, _ = self.select()
+        plan = self._fold.plan({summary[0]: summary for summary in summaries})
+        firings = tuple(assigned_firings(plan))
         fire_started = time.perf_counter()
         reports, outgoing = self.fire(round_index, firings)
         self.flush(round_index, outgoing)
         delta = self.obs_delta(
             time.perf_counter() - fire_started, sync_seconds, outgoing
         )
-        pending = 0
-        if not firings:
-            pending = sum(
-                self.modules[path].pending_interactions() for path in self._owned
-            )
+        pending = int(not firings and self._fold.has_pending())
         return len(firings), reports, delta, pending
 
     # -- checkpoint/restore --------------------------------------------------------
@@ -507,11 +470,8 @@ class WorkerRuntime:
             del self.owner_of[path]
         for path in checkpoint.owned_paths:
             self.owner_of[path] = self.unit.uid
-        if self._tracker is not None:
-            feed_deadline_hooks(self.specification, checkpoint.modules)
-            self._tracker.note_structure_change(self.specification.root)
-            self._last_epoch = self._tracker.structure_epoch
-        self._selected_once = False
+        feed_deadline_hooks(self.specification, checkpoint.modules)
+        self._reported_epoch = None
         self._topology_events.clear()
         # The crash happened at a select, i.e. *before* the previous round's
         # batches were consumed — deliver them on the next select.  On
@@ -539,6 +499,8 @@ class WorkerRuntime:
         parent's execution unit — so every event extends or shrinks this
         unit's own shard.
         """
+        if self._fold is not None:
+            self._fold.note_structure_change()
         for event in events:
             if event[0] == "init":
                 parent_path, child_name = event[1], event[2]

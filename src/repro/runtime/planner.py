@@ -39,13 +39,14 @@ the *same firing list* (same modules, transitions and order) as a from-scratch
 differs by design: it reports only the modules actually re-evaluated this
 round, which is the planner's honest (and much smaller) selection cost.
 
-Both execution backends consume the planner through the dispatch name
-``"planner"``: the in-process :class:`~repro.runtime.executor.
-SpecificationExecutor` swaps its scheduler walk for
-:meth:`IncrementalRoundPlanner.plan_round`, and the multiprocess backend has
-each worker re-evaluate only the dirty part of its shard (reporting per-round
-summary *deltas*) while the coordinator folds them through the same fused
-walk (see :mod:`repro.runtime.parallel`).
+In-process the planner is one dispatch among four, chosen by the name
+``"planner"``: :class:`~repro.runtime.executor.SpecificationExecutor` then
+swaps its scheduler walk for :meth:`IncrementalRoundPlanner.plan_round`.
+The multiprocess backend and :mod:`repro.serve` sessions have no such
+choice — it is how they plan: every mesh worker re-evaluates only the dirty
+part of its shard through a :class:`PlannerDispatch` (reporting per-round
+summary *deltas*) and whoever folds them, the coordinator or a relaxed
+worker, runs the same fused walk (see :mod:`repro.runtime.parallel.fold`).
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class PlannerDispatch(GeneratedDispatchStrategy):
 
     As a plain :class:`~repro.runtime.dispatch.DispatchStrategy` it behaves
     exactly like ``"generated"`` (same selectors, same costs) — that is what
-    a multiprocess worker uses to re-evaluate its dirty shard.  Its *name* is
-    the switch: the executor and the multiprocess coordinator recognise it
-    and route round planning through :class:`IncrementalRoundPlanner` /
-    the fused coordinator walk instead of ``Scheduler.plan_round``.
+    every multiprocess worker uses to re-evaluate its dirty shard.  In the
+    in-process executor its *type* is the switch: round planning goes
+    through :class:`IncrementalRoundPlanner` instead of
+    ``Scheduler.plan_round``.
     """
 
     name = PLANNER_DISPATCH_NAME

@@ -33,7 +33,7 @@ DEFAULT_SPEC = str(
 )
 
 
-def smoke(spec_path: str, sessions: int, dispatch: str, rounds_per_slice: int) -> int:
+def smoke(spec_path: str, sessions: int, rounds_per_slice: int) -> int:
     from ..runtime.executor import SpecSource
     from ..runtime.parallel.trace import canonical_trace_bytes, trace_diff
     from .engine import SessionEngine
@@ -41,13 +41,13 @@ def smoke(spec_path: str, sessions: int, dispatch: str, rounds_per_slice: int) -
     source = SpecSource.from_estelle_file(spec_path)
 
     # Sequential reference: one session, run to quiescence on its own engine.
-    with SessionEngine(default_dispatch=dispatch) as reference_engine:
+    with SessionEngine() as reference_engine:
         ref_id = reference_engine.create_session(source)
         reference_engine.run_to_quiescence(ref_id)
         reference_trace = reference_engine._session(ref_id).executor.trace
         reference_bytes = canonical_trace_bytes(reference_trace)
 
-    engine = SessionEngine(default_dispatch=dispatch)
+    engine = SessionEngine()
     started = time.perf_counter()
     ids = [engine.create_session(source) for _ in range(sessions)]
     spawn_seconds = time.perf_counter() - started
@@ -72,7 +72,7 @@ def smoke(spec_path: str, sessions: int, dispatch: str, rounds_per_slice: int) -
 
     print(
         f"serve-smoke: {sessions} sessions of {Path(spec_path).name!r} "
-        f"({dispatch} dispatch) spawned in {spawn_seconds * 1e3:.1f} ms, "
+        f"spawned in {spawn_seconds * 1e3:.1f} ms, "
         f"interleaved to quiescence in {sweeps} sweeps"
     )
     print(
@@ -165,9 +165,6 @@ def main(argv=None) -> int:
         "--spec", default=DEFAULT_SPEC, help="spec for --smoke sessions"
     )
     parser.add_argument(
-        "--dispatch", default="planner", help="dispatch strategy for --smoke"
-    )
-    parser.add_argument(
         "--rounds-per-slice",
         type=int,
         default=7,
@@ -211,7 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke is not None:
-        return smoke(args.spec, args.smoke, args.dispatch, args.rounds_per_slice)
+        return smoke(args.spec, args.smoke, args.rounds_per_slice)
     return serve(
         args.host,
         args.port,

@@ -16,7 +16,7 @@ Two layers share one request vocabulary:
   GET       /stats                         —
   GET       /metrics                       — (Prometheus text exposition)
   POST      /sessions                      {"spec_text" | "spec_path",
-                                            "dispatch"?, "session_id"?}
+                                            "filename"?, "session_id"?}
   GET       /sessions                      —
   GET       /sessions/{id}                 —
   POST      /sessions/{id}/step            {"rounds"?, "deadline"?}
@@ -93,6 +93,12 @@ class ServeAPI:
     # -- requests ----------------------------------------------------------------
 
     def create_session(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        for field in ("spec_text", "spec_path", "filename", "session_id"):
+            value = payload.get(field)
+            if value is not None and not isinstance(value, str):
+                # A session id ends up in URLs and a path in open(): anything
+                # but a string is a session nobody can address, or a 500.
+                raise ServeError(f"{field!r} must be a string, got {value!r}")
         spec_text = payload.get("spec_text")
         spec_path = payload.get("spec_path")
         if (spec_text is None) == (spec_path is None):
@@ -106,9 +112,7 @@ class ServeAPI:
         else:
             source = SpecSource.from_estelle_file(spec_path)
         session_id = self.engine.create_session(
-            source,
-            dispatch=payload.get("dispatch"),
-            session_id=payload.get("session_id"),
+            source, session_id=payload.get("session_id")
         )
         return {"session_id": session_id}
 

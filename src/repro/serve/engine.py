@@ -52,6 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..estelle.errors import EstelleError
 from ..estelle.interaction import Interaction
 from ..estelle.specification import Specification
 from ..faults import FailingSink, FaultPlan, InjectedFault
@@ -141,12 +142,10 @@ class Session:
         session_id: str,
         entry: CompiledSpec,
         executor: SpecificationExecutor,
-        dispatch_name: str,
     ):
         self.id = session_id
         self.entry = entry
         self.executor = executor
-        self.dispatch_name = dispatch_name
         self.created_at = time.time()
         self.closed = False
         #: serialize operations on this session (sessions are independent,
@@ -234,7 +233,6 @@ class Session:
         return {
             "session_id": self.id,
             "spec": self.entry.name,
-            "dispatch": self.dispatch_name,
             "rounds": metrics.rounds,
             "transitions_fired": metrics.transitions_fired,
             "simulated_time": self.executor.clock.now,
@@ -259,7 +257,6 @@ class SessionEngine:
         self,
         registry: Optional[SpecRegistry] = None,
         workers: int = 8,
-        default_dispatch: str = "planner",
         cluster_factory: Optional[Callable[[Specification], Cluster]] = None,
         mapping_factory: Optional[Callable[[], MappingStrategy]] = None,
         max_sessions: Optional[int] = None,
@@ -279,7 +276,6 @@ class SessionEngine:
         #: so the ``/metrics`` label stays bounded-cardinality by
         #: construction.
         self.backend_transport = _validated_backend_transport(backend_transport)
-        self.default_dispatch = default_dispatch
         self.cluster_factory = cluster_factory or default_cluster_for
         self.mapping_factory = mapping_factory
         self.max_sessions = max_sessions
@@ -404,31 +400,26 @@ class SessionEngine:
     def create_session(
         self,
         source: SpecSource,
-        dispatch: Optional[str] = None,
         session_id: Optional[str] = None,
     ) -> str:
         """Spawn one session; returns its id.
 
         The spawn path never recompiles a previously seen Estelle source:
         the registry entry's template instantiates the module tree (O(its
-        size)), and the executor reuses the entry's shared dispatch
-        strategy, so per-class selector compilation also happens at most
-        once per spec.
+        size)), and the executor plans through the entry's shared selector
+        cache, so per-class selector compilation also happens at most once
+        per spec.
         """
         if self._closed:
             raise ServeError("engine is shut down")
         with self._h_spawn.time():
-            entry = self.registry.get(source)
-            dispatch_name = dispatch or self.default_dispatch
-            specification = entry.instantiate()
-            executor = SpecificationExecutor(
-                specification,
-                self.cluster_factory(specification),
-                mapping=self.mapping_factory() if self.mapping_factory else None,
-                dispatch=entry.dispatch_for(dispatch_name),
-                trace=True,
-                obs=self.obs,
-            )
+            try:
+                entry = self.registry.get(source)
+            except (EstelleError, OSError) as exc:
+                # The caller's text does not compile, or their path cannot
+                # be read: an invalid request, said with the located message.
+                raise ServeError(f"cannot compile the specification: {exc}") from exc
+            executor = self._executor_for(entry)
             with self._sessions_lock:
                 if self.max_sessions is not None and len(self._sessions) >= self.max_sessions:
                     raise ServeError(
@@ -437,13 +428,25 @@ class SessionEngine:
                 sid = session_id or f"s-{next(self._serial)}"
                 if sid in self._sessions:
                     raise ServeError(f"session id {sid!r} already in use")
-                self._sessions[sid] = Session(sid, entry, executor, dispatch_name)
+                self._sessions[sid] = Session(sid, entry, executor)
                 self.sessions_created += 1
                 self.peak_sessions = max(self.peak_sessions, len(self._sessions))
-        self.obs.events.emit(
-            "session_create", session_id=sid, spec=entry.name, dispatch=dispatch_name
-        )
+        self.obs.events.emit("session_create", session_id=sid, spec=entry.name)
         return sid
+
+    def _executor_for(self, entry: CompiledSpec) -> SpecificationExecutor:
+        """A fresh instance of ``entry`` under the planner — the one way a
+        session plans (hard-coded against table-driven selection is the
+        in-process benches' comparison, not a service option)."""
+        specification = entry.instantiate()
+        return SpecificationExecutor(
+            specification,
+            self.cluster_factory(specification),
+            mapping=self.mapping_factory() if self.mapping_factory else None,
+            dispatch=entry.planner_dispatch,
+            trace=True,
+            obs=self.obs,
+        )
 
     def _session(self, session_id: str) -> Session:
         with self._sessions_lock:
@@ -476,7 +479,6 @@ class SessionEngine:
                 "version": CHECKPOINT_VERSION,
                 "session_id": session.id,
                 "source": session.entry.source,
-                "dispatch": session.dispatch_name,
                 "created_at": session.created_at,
                 "snapshot": session.executor.snapshot(),
             }
@@ -519,18 +521,11 @@ class SessionEngine:
                     raise ServeError(
                         f"unsupported checkpoint version {version!r}"
                     )
+                # A document written before the service planned one way
+                # also carries "dispatch"; it names nothing any more.
                 sid = document["session_id"]
-                dispatch_name = document["dispatch"]
                 entry = self.registry.get(document["source"])
-                specification = entry.instantiate()
-                executor = SpecificationExecutor(
-                    specification,
-                    self.cluster_factory(specification),
-                    mapping=self.mapping_factory() if self.mapping_factory else None,
-                    dispatch=entry.dispatch_for(dispatch_name),
-                    trace=True,
-                    obs=self.obs,
-                )
+                executor = self._executor_for(entry)
                 executor.restore(document["snapshot"])
             except Exception as exc:
                 self.obs.events.emit(
@@ -539,7 +534,7 @@ class SessionEngine:
                     error=f"{type(exc).__name__}: {exc}",
                 )
                 continue
-            session = Session(sid, entry, executor, dispatch_name)
+            session = Session(sid, entry, executor)
             session.created_at = document["created_at"]
             with self._sessions_lock:
                 if sid in self._sessions:
@@ -551,12 +546,7 @@ class SessionEngine:
             if match:
                 restored_serials.append(int(match.group(1)))
             self._m_restored.inc()
-            self.obs.events.emit(
-                "session_restore",
-                session_id=sid,
-                spec=entry.name,
-                dispatch=dispatch_name,
-            )
+            self.obs.events.emit("session_restore", session_id=sid, spec=entry.name)
         if restored_serials:
             # Never hand out an id a restored session already holds.
             self._serial = itertools.count(max(restored_serials) + 1)

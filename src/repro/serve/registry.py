@@ -12,9 +12,9 @@ Sharing cascades through every per-class compiled artefact:
 
 * the lowered module classes themselves (one set per source, not per
   session),
-* the code generator's specialized dispatch selectors —
-  :meth:`CompiledSpec.dispatch_for` hands out one strategy instance per
-  dispatch name whose per-class cache is shared by every session,
+* the code generator's specialized selectors —
+  :attr:`CompiledSpec.planner_dispatch` is one strategy instance whose
+  per-class cache is shared by every session of the entry,
 * the fused planner's generated functions
   (:data:`repro.runtime.planner._PLAN_CODE_CACHE` keys by tree shape, so
   every instance of a source — and every call a session places — binds to
@@ -39,8 +39,8 @@ from typing import Any, Dict, Optional
 
 from ..estelle.frontend import SpecificationTemplate, compile_template
 from ..estelle.specification import Specification
-from ..runtime.dispatch import DispatchStrategy, dispatch_by_name
 from ..runtime.executor import SpecSource
+from ..runtime.planner import PlannerDispatch
 
 
 def source_key(source: SpecSource) -> str:
@@ -75,7 +75,11 @@ class CompiledSpec:
         #: how many fresh specification instances this entry produced.
         self.instantiations = 0
         self._template: Optional[SpecificationTemplate] = None
-        self._dispatches: Dict[str, DispatchStrategy] = {}
+        #: the strategy every session of this entry plans through.  It holds
+        #: only per-module-class caches (compiled selectors) plus cost
+        #: constants — no per-run state — so selector compilation happens
+        #: once per entry.
+        self.planner_dispatch = PlannerDispatch()
         self._lock = threading.Lock()
         if source.kind in ("estelle-file", "estelle-text"):
             self._template = self._compile_template()
@@ -112,21 +116,6 @@ class CompiledSpec:
         # Factory recipes are opaque: rebuild (and recount) every time.
         self.compile_count += 1
         return self.source.build()
-
-    def dispatch_for(self, name: str) -> DispatchStrategy:
-        """The shared dispatch strategy instance for ``name``.
-
-        Dispatch strategies hold only per-module-class caches (compiled
-        selectors, flattened tables) plus cost constants — no per-run
-        state — so one instance can serve every session of this spec, and
-        selector compilation happens once per (entry, dispatch name).
-        """
-        with self._lock:
-            strategy = self._dispatches.get(name)
-            if strategy is None:
-                strategy = dispatch_by_name(name)
-                self._dispatches[name] = strategy
-            return strategy
 
     def stats(self) -> Dict[str, Any]:
         return {

@@ -1,6 +1,8 @@
 """The mesh coordinator's fold and loop, without spawning a worker.
 
-``_RoundPlanner`` is the one precedence fold of the multiprocess backend and
+``_RoundPlanner`` (:mod:`repro.runtime.parallel.fold`) is the one precedence
+fold of the multiprocess backend — a relaxed worker runs it too,
+``tests/test_worker_runtime.py`` — and
 ``MultiprocessBackend._run_loop`` the one loop around it (ISSUE 14).  The fold
 is fed summaries computed here from a *live* replica the in-process executor
 advances, and planned on a second, never-fired replica — as the coordinator's
@@ -56,16 +58,16 @@ def summaries_of(modules):
             module.path,
             result.transition.name if result.transition else None,
             result.external,
-            result.examined,
-            result.cost,
             module.pending_interactions(),
         )
     return summaries
 
 
 def firing_list(plan):
+    # Not the modelled selection cost: summaries no longer carry it (nothing
+    # on the mesh read it; it is the in-process executor's metric).
     return [
-        (firing.module.path, firing.result.transition.name, firing.result.cost)
+        (firing.module.path, firing.result.transition.name)
         for firing in plan.firings
     ]
 
@@ -108,7 +110,7 @@ class TestFold:
     def test_unknown_module_path_is_rejected(self):
         spec = build("mcam_core")
         summaries = summaries_of(spec.modules())
-        summaries["mcam_core/ghost"] = ("mcam_core/ghost", None, False, 0, 0.0, 0)
+        summaries["mcam_core/ghost"] = ("mcam_core/ghost", None, False, 0)
         with pytest.raises(
             ParallelExecutionError, match="unknown module 'mcam_core/ghost'"
         ):
@@ -117,7 +119,7 @@ class TestFold:
     def test_unknown_transition_name_is_rejected(self):
         spec = build("mcam_core")
         summaries = summaries_of(spec.modules())
-        summaries["mcam_core/server"] = ("mcam_core/server", "levitate", False, 1, 0.1, 0)
+        summaries["mcam_core/server"] = ("mcam_core/server", "levitate", False, 0)
         with pytest.raises(
             ParallelExecutionError,
             match="unknown transition 'levitate' for module 'mcam_core/server'",
@@ -144,7 +146,7 @@ class TestFold:
         assert firing_list(plan) == firing_list(
             Scheduler().plan_round(spec, TableDrivenDispatch())
         )
-        assert f"{holder}/late" in [path for path, _, _ in firing_list(plan)]
+        assert f"{holder}/late" in [path for path, _ in firing_list(plan)]
 
     def test_masked_roots_are_pinned_and_skipped(self):
         spec = build("osi_transfer")
@@ -172,7 +174,7 @@ NO_DELTA = (0.0, 0.0, 0, ())
 
 
 def idle(path):
-    return (path, None, False, 1, 0.1, 0)
+    return (path, None, False, 0)
 
 
 def report(plan_index, path, name):

@@ -226,19 +226,12 @@ class TestMcamSessionsInProcess:
 
 
 class TestMcamSessionsEquivalence:
-    @pytest.mark.parametrize("dispatch", DISPATCHES)
-    def test_both_backends_byte_identical(self, dispatch):
+    def test_both_backends_byte_identical(self):
         in_process = InProcessBackend().execute(
-            sessions_source(),
-            sessions_cluster(),
-            mapping=GroupedMapping(),
-            dispatch=dispatch,
+            sessions_source(), sessions_cluster(), mapping=GroupedMapping()
         )
         multiprocess = MultiprocessBackend().execute(
-            sessions_source(),
-            sessions_cluster(),
-            mapping=GroupedMapping(),
-            dispatch=dispatch,
+            sessions_source(), sessions_cluster(), mapping=GroupedMapping()
         )
         assert trace_diff(in_process.trace, multiprocess.trace) is None
         assert in_process.simulated_time == multiprocess.simulated_time

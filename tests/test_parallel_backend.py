@@ -5,8 +5,11 @@ byte-identical canonical firing traces to ``InProcessBackend`` on the same
 specification — same rounds, same firings, same order, same state changes,
 same costs, same unit placement, same simulated times — on the three
 reference workloads (``mcam_core.estelle``, ``osi_transfer.estelle`` and
-the delay-driven ``xmovie_stream.estelle``) and under the table-driven,
-generated and planner dispatch strategies.
+the delay-driven ``xmovie_stream.estelle``).  The mesh plans one way (dirty
+deltas, generated selectors, the slot fold — ISSUE 15), so each mesh run is
+one cell, held to the in-process ``table-driven`` trace; that the in-process
+dispatches agree among themselves is ``test_obs_equivalence``'s and the
+fuzzer's matrix.
 """
 
 import multiprocessing
@@ -215,13 +218,13 @@ class TestMultiprocessEquivalence:
         ]
         assert len(consumed) == 12
 
-    def test_osi_transfer_generated_dispatch_byte_identical(self):
+    def test_osi_transfer_one_unit_per_machine_byte_identical(self):
         in_process, multiprocess = run_both(
             SpecSource.from_estelle_file(OSI_SPEC),
             two_machine_cluster(1),
             mapping=GroupedMapping(),
-            dispatch="generated",
         )
+        assert multiprocess.workers == 2
         assert trace_diff(in_process.trace, multiprocess.trace) is None
 
     def test_xmovie_delay_traces_byte_identical(self):
@@ -246,44 +249,27 @@ class TestMultiprocessEquivalence:
         assert len(frames) == 8
         assert all(b.time - a.time >= 3.0 for a, b in zip(frames, frames[1:]))
 
-    @pytest.mark.parametrize("dispatch", ["generated", "planner"])
-    def test_xmovie_delay_all_dispatches_byte_identical(self, dispatch):
-        reference = InProcessBackend().execute(
-            SpecSource.from_estelle_file(XMOVIE_SPEC),
-            two_machine_cluster(1),
-            mapping=GroupedMapping(),
-            dispatch="table-driven",
-        )
-        _, multiprocess = run_both(
-            SpecSource.from_estelle_file(XMOVIE_SPEC),
-            two_machine_cluster(1),
-            mapping=GroupedMapping(),
-            dispatch=dispatch,
-        )
-        assert trace_diff(reference.trace, multiprocess.trace) is None
-
     @pytest.mark.parametrize(
         "spec_path", [MCAM_SPEC, OSI_SPEC, XMOVIE_SPEC], ids=["mcam", "osi", "xmovie"]
     )
-    def test_planner_dispatch_byte_identical(self, spec_path):
-        """The incremental planner path (ISSUE 3): workers re-evaluate only
-        their dirty shard and report summary deltas; the coordinator folds
-        them through the fused walk.  The traces must stay byte-identical to
-        the in-process planner's, which itself matches table-driven."""
-        in_process, multiprocess = run_both(
-            SpecSource.from_estelle_file(spec_path),
-            two_machine_cluster(2),
-            mapping=GroupedMapping(),
-            dispatch="planner",
+    def test_two_processors_per_machine_byte_identical(self, spec_path):
+        """Workers re-evaluate only their dirty shard and report summary
+        deltas; the coordinator folds them through the fused walk (ISSUE 3).
+        The trace must be byte-identical to the in-process planner's — the
+        same deltas, selectors and walk in one process — and to the
+        interpreted table-driven walk's."""
+        source = SpecSource.from_estelle_file(spec_path)
+        multiprocess = MultiprocessBackend().execute(
+            source, two_machine_cluster(2), mapping=GroupedMapping()
         )
-        assert trace_diff(in_process.trace, multiprocess.trace) is None
-        reference = InProcessBackend().execute(
-            SpecSource.from_estelle_file(spec_path),
-            two_machine_cluster(2),
-            mapping=GroupedMapping(),
-            dispatch="table-driven",
-        )
-        assert trace_diff(reference.trace, multiprocess.trace) is None
+        for dispatch in ("planner", "table-driven"):
+            reference = InProcessBackend().execute(
+                source,
+                two_machine_cluster(2),
+                mapping=GroupedMapping(),
+                dispatch=dispatch,
+            )
+            assert trace_diff(reference.trace, multiprocess.trace) is None, dispatch
 
     def test_deadlock_detected_identically(self):
         in_process, multiprocess = run_both(
@@ -317,13 +303,11 @@ class TestMultiprocessEquivalence:
 
 
 class TestMultiprocessDiagnostics:
-    @pytest.mark.parametrize("dispatch", ["table-driven", "planner"])
-    def test_dynamic_module_creation_is_trace_identical(self, dispatch):
+    def test_dynamic_module_creation_is_trace_identical(self):
         """Dynamic topology (ISSUE 5): a runtime ``init`` places the child
         on its parent's execution unit and registers it in the worker's
         shard; the later ``release`` retires it — with traces byte-identical
-        to the in-process backend, under the full-rescan dispatch and the
-        incremental planner alike."""
+        to the in-process backend's full rescan."""
         source = SpecSource.from_factory(
             "tests.test_parallel_backend:build_dynamic_spec"
         )
@@ -331,7 +315,6 @@ class TestMultiprocessDiagnostics:
             source,
             two_machine_cluster(1),
             mapping=GroupedMapping(),
-            dispatch=dispatch,
         )
         assert trace_diff(in_process.trace, multiprocess.trace) is None
         fired = [e.module_path for e in multiprocess.trace.all_firings()]
@@ -402,6 +385,31 @@ class TestMultiprocessPreconditions:
             MultiprocessBackend().execute(
                 source, two_machine_cluster(1), mapping=GroupedMapping()
             )
+
+    def test_unknown_dispatch_name_fails_before_any_spawn(self, monkeypatch):
+        """The mesh runs no dispatch strategy, but ``dispatch=`` is the
+        shared backend signature: a name the registry lacks must raise what
+        it raises in-process, at entry — not after every worker was spawned."""
+        from repro.runtime.parallel import backend
+
+        spawned = []
+        monkeypatch.setattr(
+            backend._ControlPlane,
+            "spawn",
+            lambda self, uid, config, endpoint, name: spawned.append(name),
+        )
+        source = SpecSource.from_estelle_file(MCAM_SPEC)
+        for execute in (InProcessBackend().execute, MultiprocessBackend().execute):
+            with pytest.raises(
+                ValueError, match="unknown dispatch strategy 'quantum'; choose from"
+            ):
+                execute(
+                    source,
+                    two_machine_cluster(1),
+                    mapping=GroupedMapping(),
+                    dispatch="quantum",
+                )
+        assert spawned == []
 
     def test_restricted_mesh_still_trace_identical_on_two_connections(self):
         """End to end: the connectivity-derived mesh (c1 and c2 units never

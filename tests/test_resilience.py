@@ -207,19 +207,18 @@ class TestExecutorCheckpoint:
 
 def _chaos_cases():
     cases = [
-        (MCAM_SPEC, "planner", FaultPlan(worker_crashes=(WorkerCrash(unit=1, round_index=2),))),
-        (MCAM_SPEC, "table-driven", FaultPlan(worker_crashes=(WorkerCrash(unit=3, round_index=4),))),
-        (OSI_SPEC, "planner", FaultPlan(worker_crashes=(WorkerCrash(unit=4, round_index=2),))),
+        (MCAM_SPEC, FaultPlan(worker_crashes=(WorkerCrash(unit=1, round_index=2),))),
+        (MCAM_SPEC, FaultPlan(worker_crashes=(WorkerCrash(unit=3, round_index=4),))),
+        (OSI_SPEC, FaultPlan(worker_crashes=(WorkerCrash(unit=4, round_index=2),))),
         # Crash at round 1: no checkpoint exists yet — recovery restarts the
         # shard from its freshly built state.
-        (MCAM_SPEC, "planner", FaultPlan(worker_crashes=(WorkerCrash(unit=2, round_index=1),))),
+        (MCAM_SPEC, FaultPlan(worker_crashes=(WorkerCrash(unit=2, round_index=1),))),
     ]
     extra = int(os.environ.get("CHAOS_MP_EXTRA", "0"))
     for seed in range(extra):
         cases.append(
             (
                 MCAM_SPEC,
-                "planner" if seed % 2 == 0 else "table-driven",
                 FaultPlan.seeded(seed, units=(1, 2, 3), max_round=10, crashes=2),
             )
         )
@@ -228,25 +227,20 @@ def _chaos_cases():
 
 class TestSupervisedRecovery:
     @pytest.mark.parametrize(
-        "spec_path,dispatch,plan",
+        "spec_path,plan",
         _chaos_cases(),
         ids=lambda value: getattr(value, "stem", None) or str(value)[:48],
     )
-    def test_crashed_worker_recovers_trace_identical(self, spec_path, dispatch, plan):
+    def test_crashed_worker_recovers_trace_identical(self, spec_path, plan):
         source = SpecSource.from_estelle_file(spec_path)
         reference = InProcessBackend().execute(
-            source,
-            example_cluster(),
-            mapping=GroupedMapping(),
-            dispatch=dispatch,
-            max_rounds=60,
+            source, example_cluster(), mapping=GroupedMapping(), max_rounds=60
         )
         obs = Observability()
         recovered = MultiprocessBackend().execute(
             source,
             example_cluster(),
             mapping=GroupedMapping(),
-            dispatch=dispatch,
             max_rounds=60,
             obs=obs,
             fault_plan=plan,
@@ -254,7 +248,7 @@ class TestSupervisedRecovery:
         assert canonical_trace_bytes(recovered.trace) == canonical_trace_bytes(
             reference.trace
         ), (
-            f"replay: {spec_path.name} dispatch={dispatch} plan={plan}: "
+            f"replay: {spec_path.name} plan={plan}: "
             + trace_diff(reference.trace, recovered.trace)
         )
         assert recovered.simulated_time == reference.simulated_time
@@ -337,6 +331,56 @@ class TestEnginePersistence:
             assert second.create_session(source) == "s-2"
         finally:
             second.shutdown()
+
+    def test_stored_document_naming_a_dispatch_still_resumes(self, tmp_path):
+        """Sessions plan one way now (ISSUE 15), but ``CHECKPOINT_VERSION``
+        stayed 1: a document a table-driven session wrote before that —
+        ``"dispatch"`` key and all — must load, the key ignored, and resume
+        to the byte-identical suffix; a newly written one has no such key."""
+        from repro.serve.engine import CHECKPOINT_VERSION, default_cluster_for
+
+        source = SpecSource.from_estelle_file(MCAM_SPEC)
+
+        def table_driven_executor():
+            specification = source.build()
+            return SpecificationExecutor(
+                specification,
+                default_cluster_for(specification),
+                dispatch=dispatch_by_name("table-driven"),
+                trace=True,
+            )
+
+        reference = table_driven_executor()
+        reference.run(max_rounds=10_000)
+        writer = table_driven_executor()
+        writer.run(max_rounds=5)
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        with open(state_dir / "old.ckpt", "wb") as stream:
+            pickle.dump(
+                {
+                    "version": CHECKPOINT_VERSION,
+                    "session_id": "s-7",
+                    "source": source,
+                    "dispatch": "table-driven",
+                    "created_at": 0.0,
+                    "snapshot": writer.snapshot(),
+                },
+                stream,
+            )
+
+        engine = SessionEngine(state_dir=str(state_dir))
+        try:
+            assert engine.session_ids() == ["s-7"]
+            assert engine.run_to_quiescence("s-7")["stop_reason"] == "quiescent"
+            suffix = canonical_rounds(engine._session("s-7").executor.trace)
+            assert canonical_rounds(writer.trace) + suffix == canonical_rounds(
+                reference.trace
+            )
+            with open(engine.persist_session("s-7"), "rb") as stream:
+                assert "dispatch" not in pickle.load(stream)
+        finally:
+            engine.shutdown()
 
     def test_closed_session_checkpoint_is_removed(self, tmp_path):
         state_dir = tmp_path / "state"

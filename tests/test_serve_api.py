@@ -199,6 +199,57 @@ class TestHTTPFront:
         assert status == 400
         assert "'rounds'" in body["error"]
 
+    @pytest.mark.parametrize(
+        "payload,status,fragment",
+        [
+            pytest.param(
+                {"spec_text": "specification broken; module"},
+                400, "line 1, column", id="syntax-error",
+            ),
+            pytest.param(
+                {"spec_text": "specification broken; module", "filename": "b.estelle"},
+                400, "b.estelle:line 1", id="syntax-error-located-in-filename",
+            ),
+            pytest.param(
+                {"spec_path": "/no/such/spec.estelle"},
+                400, "/no/such/spec.estelle", id="missing-spec-path",
+            ),
+            pytest.param(
+                {"spec_text": 5}, 400, "'spec_text' must be a string", id="spec-text-5"
+            ),
+            pytest.param(
+                {"spec_path": 5}, 400, "'spec_path' must be a string", id="spec-path-5"
+            ),
+            pytest.param(
+                {"spec_text": ECHO_SPEC, "filename": 7},
+                400, "'filename' must be a string", id="filename-7",
+            ),
+            pytest.param(
+                {"spec_text": ECHO_SPEC, "session_id": ["a"]},
+                400, "'session_id' must be a string", id="session-id-list",
+            ),
+            # Used to be created — under an id no URL can address.
+            pytest.param(
+                {"spec_text": ECHO_SPEC, "session_id": 5},
+                400, "'session_id' must be a string", id="session-id-5",
+            ),
+            # The option is gone (ISSUE 15): the key is one more unknown key.
+            pytest.param(
+                {"spec_text": ECHO_SPEC, "dispatch": "quantum"},
+                201, None, id="dispatch-key-ignored",
+            ),
+        ],
+    )
+    def test_create_answers_4xx_never_500(self, http_server, payload, status, fragment):
+        got, body = request(http_server, "POST", "/sessions", payload)
+        assert got == status, body
+        _, listing = request(http_server, "GET", "/sessions")
+        if status == 400:
+            assert fragment in body["error"]
+            assert listing["sessions"] == [], "a refused create holds no session slot"
+        else:
+            assert listing["sessions"] == [body["session_id"]]
+
     def test_unroutable_path_is_404(self, http_server):
         status, _ = request(http_server, "GET", "/nope")
         assert status == 404

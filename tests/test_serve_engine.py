@@ -116,11 +116,18 @@ class TestRegistryCompileOnce:
         entry.instantiate()
         assert entry.compile_count == 2
 
-    def test_shared_dispatch_instance_per_name(self):
-        registry = SpecRegistry()
-        entry = registry.get(mcam_source())
-        assert entry.dispatch_for("planner") is entry.dispatch_for("planner")
-        assert entry.dispatch_for("planner") is not entry.dispatch_for("table-driven")
+    def test_sessions_of_an_entry_share_one_planner_dispatch(self):
+        with SessionEngine() as engine:
+            first = engine.create_session(mcam_source())
+            second = engine.create_session(mcam_source())
+            (entry,) = engine.registry._entries.values()
+            for sid in (first, second):
+                executor = engine._session(sid).executor
+                assert executor.dispatch is entry.planner_dispatch
+                assert executor.planner is not None
+        assert SpecRegistry().get(mcam_source()).planner_dispatch is not (
+            entry.planner_dispatch
+        )
 
     def test_stats_shape(self):
         registry = SpecRegistry()

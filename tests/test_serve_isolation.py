@@ -2,10 +2,12 @@
 
 The service's core promise is that hosting does not change semantics: a
 spec instance stepped in timeslices, interleaved with many other sessions
-on one engine (shared compiled templates, shared dispatch strategy
-instances, shared planner code objects, worker-pool fan-out), must produce
-the *byte-identical canonical trace* of the same spec run alone,
-sequentially, to quiescence.
+on one engine (shared compiled templates, one shared selector cache per
+entry, shared planner code objects, worker-pool fan-out), must produce the
+*byte-identical canonical trace* of the same spec run alone, sequentially,
+to quiescence — by the plain in-process executor under the interpreted
+``table-driven`` walk, the repo's reference oracle (sessions plan one way,
+through the planner: ISSUE 15).
 
 The property is checked over the differential fuzzer's generated corpus
 (``tests/fuzzgen.py`` — states, guards, priorities, delays, quantifiers,
@@ -22,10 +24,11 @@ import os
 
 import pytest
 
-from repro.runtime import SpecSource
+from repro.runtime import SpecificationExecutor, SpecSource, TableDrivenDispatch
 from repro.runtime.parallel import trace_diff
 from repro.runtime.parallel.trace import canonical_trace_bytes
 from repro.serve import SessionEngine
+from repro.serve.engine import default_cluster_for
 from tests.fuzzgen import generate_spec_text
 
 ISOLATION_SEEDS = int(os.environ.get("SERVE_ISOLATION_SEEDS", "20"))
@@ -33,7 +36,6 @@ ISOLATION_SEEDS = int(os.environ.get("SERVE_ISOLATION_SEEDS", "20"))
 COPIES_PER_SEED = 2
 SLICE_ROUNDS = 3
 MAX_ROUNDS = 400  # same bound the spec fuzzer uses; every seed halts within it
-DISPATCHES = ("planner", "table-driven")
 
 
 def fuzz_sources():
@@ -45,25 +47,29 @@ def fuzz_sources():
     }
 
 
-def sequential_references(sources, dispatch):
-    """{seed: canonical trace bytes} with each spec run alone to quiescence."""
-    references = {}
-    for seed, source in sources.items():
-        with SessionEngine(default_dispatch=dispatch) as engine:
-            sid = engine.create_session(source)
-            engine.step(sid, rounds=MAX_ROUNDS)
-            references[seed] = canonical_trace_bytes(engine._session(sid).executor.trace)
-    return references
+def run_alone(source):
+    """The spec on a bare executor, table-driven, alone, to quiescence."""
+    specification = source.build()
+    executor = SpecificationExecutor(
+        specification,
+        default_cluster_for(specification),
+        dispatch=TableDrivenDispatch(),
+        trace=True,
+    )
+    executor.run(max_rounds=MAX_ROUNDS)
+    return executor.trace
 
 
-@pytest.mark.parametrize("dispatch", DISPATCHES)
-def test_interleaved_sessions_byte_identical_to_sequential(dispatch):
+def test_interleaved_sessions_byte_identical_to_sequential():
     sources = fuzz_sources()
-    references = sequential_references(sources, dispatch)
+    references = {
+        seed: canonical_trace_bytes(run_alone(source))
+        for seed, source in sources.items()
+    }
 
     # One engine hosts the whole corpus at once; every session advances a few
     # rounds per sweep over the worker pool, maximally interleaved.
-    with SessionEngine(default_dispatch=dispatch) as engine:
+    with SessionEngine() as engine:
         owners = {}
         for seed, source in sources.items():
             for _ in range(COPIES_PER_SEED):
@@ -82,14 +88,11 @@ def test_interleaved_sessions_byte_identical_to_sequential(dispatch):
             session = engine._session(sid)
             got = canonical_trace_bytes(session.executor.trace)
             if got != references[seed]:
-                reference_trace = None  # recompute lazily only on failure
-                with SessionEngine(default_dispatch=dispatch) as ref_engine:
-                    ref_id = ref_engine.create_session(sources[seed])
-                    ref_engine.step(ref_id, rounds=MAX_ROUNDS)
-                    reference_trace = ref_engine._session(ref_id).executor.trace
-                divergence = trace_diff(reference_trace, session.executor.trace)
+                divergence = trace_diff(
+                    run_alone(sources[seed]), session.executor.trace
+                )
                 pytest.fail(
-                    f"seed {seed} ({dispatch}): hosted session {sid} diverged "
+                    f"seed {seed}: hosted session {sid} diverged "
                     f"from the sequential reference: {divergence}\n"
                     f"replay: tests.fuzzgen.generate_spec_text({seed})"
                 )

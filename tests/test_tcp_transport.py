@@ -45,22 +45,17 @@ def example_cluster() -> Cluster:
     return cluster
 
 
-def run_reference(source: SpecSource, dispatch: str = "table-driven"):
+def run_reference(source: SpecSource):
     return InProcessBackend().execute(
-        source,
-        example_cluster(),
-        mapping=GroupedMapping(),
-        dispatch=dispatch,
-        max_rounds=MAX_ROUNDS,
+        source, example_cluster(), mapping=GroupedMapping(), max_rounds=MAX_ROUNDS
     )
 
 
-def run_tcp(source: SpecSource, dispatch: str = "table-driven", **kwargs):
+def run_tcp(source: SpecSource, **kwargs):
     return MultiprocessBackend(transport="tcp").execute(
         source,
         example_cluster(),
         mapping=GroupedMapping(),
-        dispatch=dispatch,
         max_rounds=MAX_ROUNDS,
         **kwargs,
     )
@@ -114,9 +109,9 @@ class TestTcpEquivalence:
 class TestTcpCrashRecovery:
     def test_seeded_worker_crash_recovers_trace_identical_over_tcp(self):
         source = SpecSource.from_estelle_file(SPEC_DIR / "mcam_sessions.estelle")
-        reference = run_reference(source, dispatch="planner")
+        reference = run_reference(source)
         plan = FaultPlan(worker_crashes=(WorkerCrash(unit=1, round_index=2),))
-        recovered = run_tcp(source, dispatch="planner", fault_plan=plan)
+        recovered = run_tcp(source, fault_plan=plan)
         assert canonical_trace_bytes(recovered.trace) == canonical_trace_bytes(
             reference.trace
         ), "tcp crash recovery diverged: " + str(
@@ -131,9 +126,9 @@ class TestTcpCrashRecovery:
         # crash happens before any flush, so reconnects carry no slot and
         # the run simply proceeds from scratch.
         source = SpecSource.from_estelle_file(SPEC_DIR / "mcam_core.estelle")
-        reference = run_reference(source, dispatch="planner")
+        reference = run_reference(source)
         plan = FaultPlan(worker_crashes=(WorkerCrash(unit=1, round_index=1),))
-        recovered = run_tcp(source, dispatch="planner", fault_plan=plan)
+        recovered = run_tcp(source, fault_plan=plan)
         assert canonical_trace_bytes(recovered.trace) == canonical_trace_bytes(
             reference.trace
         )
