@@ -59,7 +59,7 @@ def serve_load_results(sessions: int = SESSIONS) -> dict:
     source = SpecSource.from_estelle_file(SPEC_PATH)
     reference_bytes, reference = reference_trace_bytes(source)
 
-    engine = SessionEngine(workers=8)
+    engine = SessionEngine()
     started = time.perf_counter()
 
     spawn_latencies = []

@@ -166,7 +166,6 @@ from .lexer import Token, tokenize
 from .lower import (
     SpecificationTemplate,
     expr_to_python,
-    lower_bodies,
     lower_specification,
 )
 from .parser import Parser, parse_source
@@ -196,12 +195,6 @@ def compile_file(path: Union[str, Path]) -> Specification:
     return compile_source(path.read_text(), filename=str(path))
 
 
-def parse_file(path: Union[str, Path]) -> SpecificationNode:
-    """Parse an ``.estelle`` file into its AST (no semantic checks)."""
-    path = Path(path)
-    return parse_source(path.read_text(), filename=str(path))
-
-
 __all__ = [
     "EstelleFrontendError",
     "EstelleSemanticError",
@@ -216,9 +209,7 @@ __all__ = [
     "compile_source",
     "compile_template",
     "expr_to_python",
-    "lower_bodies",
     "lower_specification",
-    "parse_file",
     "parse_source",
     "tokenize",
 ]

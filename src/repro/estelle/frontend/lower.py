@@ -367,7 +367,9 @@ class _Lowering:
         #: diagnostics as ``when``/``output`` clauses.
         self._header_ip_info: Dict[str, Tuple[Dict[str, ChannelRole], Dict[str, Tuple[int, int]]]] = {}
 
-    def run(self) -> Specification:
+    def lower_classes(self) -> None:
+        """Channels, headers and bodies to classes — everything that is per
+        source, not per instance; :meth:`_assemble` then builds instances."""
         for channel_node in self.node.channels:
             self._lower_channel(channel_node)
         for header in self.node.headers:
@@ -375,6 +377,9 @@ class _Lowering:
         for body in self.node.bodies:
             self._lower_body(body)
         self._check_deferred_inits()
+
+    def run(self) -> Specification:
+        self.lower_classes()
         return self._assemble()
 
     def _check_deferred_inits(self) -> None:
@@ -885,13 +890,7 @@ class SpecificationTemplate:
 
     def __init__(self, node: ast.SpecificationNode):
         self._lowering = _Lowering(node)
-        for channel_node in node.channels:
-            self._lowering._lower_channel(channel_node)
-        for header in node.headers:
-            self._lowering._check_header(header)
-        for body in node.bodies:
-            self._lowering._lower_body(body)
-        self._lowering._check_deferred_inits()
+        self._lowering.lower_classes()
         # Fail at template-compile time, not on the first instantiate: the
         # assembly step performs the instance-level semantic checks
         # (duplicate instances, unknown bodies, connect diagnostics).
@@ -909,16 +908,3 @@ class SpecificationTemplate:
     def instantiate(self) -> Specification:
         """Build a fresh validated specification from the lowered template."""
         return self._lowering._assemble()
-
-
-def lower_bodies(node: ast.SpecificationNode) -> Dict[str, Type[Module]]:
-    """Lower only the module classes (no instances); useful for tooling."""
-    lowering = _Lowering(node)
-    for channel_node in node.channels:
-        lowering._lower_channel(channel_node)
-    for header in node.headers:
-        lowering._check_header(header)
-    for body in node.bodies:
-        lowering._lower_body(body)
-    lowering._check_deferred_inits()
-    return dict(lowering.body_classes)

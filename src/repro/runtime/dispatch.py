@@ -198,6 +198,19 @@ class TableDrivenDispatch(DispatchStrategy):
         return list(table[ANY_STATE])
 
 
+def dispatch_class_by_name(name: str) -> Type[DispatchStrategy]:
+    """The registered strategy class for ``name``; ``ValueError`` naming the
+    registry otherwise.  The multiprocess backend, which runs no strategy,
+    holds its ``dispatch=`` argument to the registry through this."""
+    try:
+        return _STRATEGY_REGISTRY[name]
+    except KeyError as exc:
+        raise ValueError(
+            f"unknown dispatch strategy {name!r}; choose from "
+            f"{sorted(_STRATEGY_REGISTRY)}"
+        ) from exc
+
+
 def dispatch_by_name(name: str, **kwargs) -> DispatchStrategy:
     """Factory used by the benchmark harness.
 
@@ -205,11 +218,4 @@ def dispatch_by_name(name: str, **kwargs) -> DispatchStrategy:
     :mod:`repro.runtime` (or :mod:`repro.runtime.codegen`) additionally
     registers ``"generated"``.
     """
-    try:
-        strategy_class = _STRATEGY_REGISTRY[name]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown dispatch strategy {name!r}; choose from "
-            f"{sorted(_STRATEGY_REGISTRY)}"
-        ) from exc
-    return strategy_class(**kwargs)
+    return dispatch_class_by_name(name)(**kwargs)

@@ -726,13 +726,18 @@ class ExecutionBackend:
     """Interface: run a specification (from a :class:`SpecSource`) to
     quiescence and report the firing trace plus measured timings.
 
-    ``dispatch`` is passed by *name* (plus kwargs), checked against the
-    strategy registry by every backend.  The in-process backend builds the
-    named strategy — that is where hard-coded, table-driven, generated and
-    planner selection are compared (the paper's E4/E5).  The multiprocess
-    backend has no such axis: its workers always evaluate dirty modules
-    through the generated selectors and its round plans are always the slot
-    fold, so there the name selects nothing (as ``scheduler`` does not).
+    :meth:`execute` is the signature every backend honours: no argument is
+    accepted and discarded.  ``dispatch`` is passed by *name* and checked
+    against the strategy registry by every backend.  The in-process backend
+    builds the named strategy with its default costs — that is where
+    hard-coded, table-driven, generated and planner selection are compared
+    (the paper's E4/E5).  The multiprocess backend has no such axis: its
+    workers always evaluate dirty modules through the generated selectors
+    and its round plans are always the slot fold, so there the name is held
+    to the registry and selects nothing — it stays because the ruler
+    (``benchmarks/ruler``) passes it to both backends.  A backend may add
+    keyword arguments of its own (the mesh adds ``fault_plan`` and
+    ``supervise``).
     """
 
     name = "abstract"
@@ -743,9 +748,7 @@ class ExecutionBackend:
         cluster: Cluster,
         *,
         mapping: Optional[MappingStrategy] = None,
-        scheduler: Optional[Scheduler] = None,
         dispatch: str = "table-driven",
-        dispatch_kwargs: Optional[Dict[str, Any]] = None,
         max_rounds: int = 10_000,
         busy_work_us_per_cost: float = 0.0,
         obs: Optional[Observability] = None,
@@ -770,9 +773,7 @@ class InProcessBackend(ExecutionBackend):
         cluster: Cluster,
         *,
         mapping: Optional[MappingStrategy] = None,
-        scheduler: Optional[Scheduler] = None,
         dispatch: str = "table-driven",
-        dispatch_kwargs: Optional[Dict[str, Any]] = None,
         max_rounds: int = 10_000,
         busy_work_us_per_cost: float = 0.0,
         obs: Optional[Observability] = None,
@@ -784,8 +785,7 @@ class InProcessBackend(ExecutionBackend):
             specification,
             cluster,
             mapping=mapping,
-            scheduler=scheduler,
-            dispatch=dispatch_by_name(dispatch, **(dispatch_kwargs or {})),
+            dispatch=dispatch_by_name(dispatch),
             trace=True,
             busy_work=busy_work_for(busy_work_us_per_cost),
             obs=obs,

@@ -47,7 +47,7 @@ from ...estelle.specification import Specification
 from ...obs import NULL_OBS, Observability
 from ...sim.machine import Cluster
 from ..clock import SimulatedClock, firing_advance
-from ..dispatch import dispatch_by_name
+from ..dispatch import dispatch_class_by_name
 from ..executor import (
     BackendResult,
     ExecutionBackend,
@@ -55,7 +55,7 @@ from ..executor import (
     register_backend,
 )
 from ..mapping import MappingStrategy, SystemMapping, ThreadPerModuleMapping
-from ..scheduler import RoundPlan, Scheduler
+from ..scheduler import RoundPlan
 from ..tracing import ExecutionTrace, FiringEvent
 from .fold import (
     AssignedFiring,
@@ -73,6 +73,14 @@ from .worker import (
     _declares_delay,
     worker_main,
 )
+
+
+#: How worker processes start.  ``"spawn"`` is the one start method that
+#: behaves identically across Linux/macOS/Windows and never inherits threads,
+#: at the price of each worker re-importing the package and rebuilding the
+#: specification from its :class:`SpecSource` (which is the point — workers
+#: must be able to reconstruct everything from picklable recipes).
+START_METHOD = "spawn"
 
 
 def _relaxable_units(
@@ -436,14 +444,9 @@ class MultiprocessBackend(ExecutionBackend):
 
     This backend *is* the decentralised scheduler made real: per-unit
     selection cost is paid in actual wall-clock on actual processes rather
-    than charged to a simulated unit.
-
-    ``start_method`` defaults to ``"spawn"``: it is the one start method that
-    behaves identically across Linux/macOS/Windows and never inherits
-    threads, at the price of each worker re-importing the package and
-    rebuilding the specification from its :class:`SpecSource` (which is the
-    point — workers must be able to reconstruct everything from picklable
-    recipes).
+    than charged to a simulated unit.  Workers are always spawned
+    (:data:`START_METHOD`), and :meth:`execute` takes the shared
+    :class:`ExecutionBackend` signature plus ``fault_plan``/``supervise``.
 
     ``transport`` picks the wire the batch mesh runs over (see
     :mod:`repro.runtime.parallel.transport`): ``"mp-queue"`` (default, one
@@ -471,7 +474,6 @@ class MultiprocessBackend(ExecutionBackend):
 
     def __init__(
         self,
-        start_method: str = "spawn",
         round_timeout_s: float = 120.0,
         transport: str = "mp-queue",
         transport_options: Optional[Dict[str, Any]] = None,
@@ -482,7 +484,6 @@ class MultiprocessBackend(ExecutionBackend):
             raise ValueError(
                 f"lookahead_rounds must be >= 1, got {lookahead_rounds}"
             )
-        self.start_method = start_method
         self.round_timeout_s = round_timeout_s
         self.transport = transport
         self.transport_options = dict(transport_options or {})
@@ -497,9 +498,7 @@ class MultiprocessBackend(ExecutionBackend):
         cluster: Cluster,
         *,
         mapping: Optional[MappingStrategy] = None,
-        scheduler: Optional[Scheduler] = None,
         dispatch: str = "table-driven",
-        dispatch_kwargs: Optional[Dict[str, Any]] = None,
         max_rounds: int = 10_000,
         busy_work_us_per_cost: float = 0.0,
         obs: Optional[Observability] = None,
@@ -514,16 +513,15 @@ class MultiprocessBackend(ExecutionBackend):
         shard checkpointing plus crash recovery (respawn-from-checkpoint);
         it defaults to on exactly when a fault plan is present, and to off
         otherwise, so the unsupervised fast path is byte-for-byte the
-        pre-resilience protocol.  ``scheduler``, ``dispatch`` and
-        ``dispatch_kwargs`` are part of the :class:`ExecutionBackend`
-        signature and select nothing here: every worker evaluates its dirty
-        modules through the generated selectors and every round plan is the
-        slot fold of :mod:`.fold`, whatever is passed.  The dispatch name
-        is still held to the strategy registry, so a misspelt one fails
-        here as it does in-process — before anything is spawned.
+        pre-resilience protocol.  ``dispatch`` selects nothing here: every
+        worker evaluates its dirty modules through the generated selectors
+        and every round plan is the slot fold of :mod:`.fold`.  It is in
+        the signature because the ruler passes ``dispatch="planner"`` to
+        both backends, and the name is held to the strategy registry, so a
+        misspelt one fails here as it does in-process — before anything is
+        spawned.
         """
-        del scheduler
-        dispatch_by_name(dispatch, **(dispatch_kwargs or {}))
+        dispatch_class_by_name(dispatch)
         obs = obs if obs is not None else NULL_OBS
         supervised = supervise if supervise is not None else fault_plan is not None
         specification = source.build()
@@ -587,7 +585,7 @@ class MultiprocessBackend(ExecutionBackend):
                 ):
                     pairs.add((source_uid, target_uid))
 
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = multiprocessing.get_context(START_METHOD)
         transport = transport_by_name(self.transport, **self.transport_options)
         control = _ControlPlane(ctx, self.round_timeout_s)
         try:

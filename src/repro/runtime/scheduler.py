@@ -25,12 +25,17 @@ identical); they differ only in where the selection overhead is charged:
 * :class:`DecentralisedScheduler` — each execution unit scans only its own
   modules; the cost is charged to the unit and therefore overlaps across
   processors.
+
+A scheduler carries the two facts that distinguish them (``centralised`` and
+``per_module_cost``); the charging itself happens in one place,
+``SpecificationExecutor._charge_selection``, which knows the unit of every
+examined module — dynamically created children included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..estelle.module import Module
 from ..estelle.specification import Specification
@@ -138,21 +143,6 @@ class Scheduler:
             _select_subtree(system_module, dispatch, plan)
         return plan
 
-    # -- overhead accounting (strategy-specific) -----------------------------------
-
-    def serial_overhead(self, plan: RoundPlan) -> float:
-        """Overhead that serialises the whole round (centralised scheduler)."""
-        raise NotImplementedError
-
-    def unit_overhead(self, plan: RoundPlan, unit_module_paths: Iterable[str]) -> float:
-        """Overhead charged to one execution unit (decentralised scheduler).
-
-        Callers that evaluate many rounds against the same unit should pass a
-        precomputed ``frozenset`` of the unit's module paths; it is used for
-        membership tests as-is, without per-call set rebuilding.
-        """
-        raise NotImplementedError
-
 
 class CentralisedScheduler(Scheduler):
     """A single, global scheduler loop (the conventional generated runtime).
@@ -164,13 +154,6 @@ class CentralisedScheduler(Scheduler):
 
     name = "centralised"
     centralised = True
-
-    def serial_overhead(self, plan: RoundPlan) -> float:
-        scan_cost = sum(plan.examined_costs.values())
-        return self.per_module_cost * plan.examined_modules + scan_cost
-
-    def unit_overhead(self, plan: RoundPlan, unit_module_paths: Iterable[str]) -> float:
-        return 0.0
 
 
 class DecentralisedScheduler(Scheduler):
@@ -184,30 +167,6 @@ class DecentralisedScheduler(Scheduler):
 
     name = "decentralised"
     centralised = False
-
-    def serial_overhead(self, plan: RoundPlan) -> float:
-        return 0.0
-
-    def unit_overhead(self, plan: RoundPlan, unit_module_paths: Iterable[str]) -> float:
-        # Charge the unit from its own bucket: iterate the unit's (usually
-        # small) path set and look each path up in the plan's examined-cost
-        # dict, instead of scanning every examined module and membership-
-        # testing it against the unit.  Across all units of a mapping this is
-        # one pass over the module population per plan, not units × modules.
-        member = (
-            unit_module_paths
-            if isinstance(unit_module_paths, AbstractSet)
-            else frozenset(unit_module_paths)
-        )
-        examined_costs = plan.examined_costs
-        examined_here = 0
-        scan_cost = 0.0
-        for path in member:
-            cost = examined_costs.get(path)
-            if cost is not None:
-                examined_here += 1
-                scan_cost += cost
-        return self.per_module_cost * examined_here + scan_cost
 
 
 def scheduler_by_name(name: str, **kwargs) -> Scheduler:

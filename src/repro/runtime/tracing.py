@@ -11,7 +11,7 @@ of the benchmark harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,6 @@ class RoundRecord:
     serial_overhead: float
     firings: List[FiringEvent] = field(default_factory=list)
 
-    @property
-    def fired_modules(self) -> List[str]:
-        return [f.module_path for f in self.firings]
-
 
 class ExecutionTrace:
     """An append-only trace of an execution."""
@@ -76,18 +72,11 @@ class ExecutionTrace:
     def all_firings(self) -> List[FiringEvent]:
         return [event for record in self.rounds for event in record.firings]
 
-    def firings_of(self, module_path: str) -> List[FiringEvent]:
-        return [e for e in self.all_firings() if e.module_path == module_path]
-
     def transition_sequence(self, module_path: str) -> List[str]:
-        return [e.transition_name for e in self.firings_of(module_path)]
-
-    def interaction_sequence(self) -> List[Tuple[str, str]]:
-        """(module path, interaction name) pairs in firing order, inputs only."""
         return [
-            (e.module_path, e.interaction_name)
+            e.transition_name
             for e in self.all_firings()
-            if e.interaction_name is not None
+            if e.module_path == module_path
         ]
 
     def first_round_where(self, module_path: str, transition_name: str) -> Optional[int]:
@@ -96,10 +85,6 @@ class ExecutionTrace:
             if event.module_path == module_path and event.transition_name == transition_name:
                 return event.round_index
         return None
-
-    def concurrency_profile(self) -> List[int]:
-        """Number of firings per round — the runtime's achieved parallelism."""
-        return [len(record.firings) for record in self.rounds]
 
     def describe(self, max_rounds: Optional[int] = None) -> str:
         """Human-readable rendering used by the examples."""

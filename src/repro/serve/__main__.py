@@ -112,16 +112,11 @@ def serve(
     max_inflight=None,
     max_body_bytes=None,
     step_timeout_s=None,
-    backend_transport=None,
 ) -> int:
     from .api import DEFAULT_MAX_BODY_BYTES, make_http_server
     from .engine import SessionEngine
 
-    engine = SessionEngine(
-        state_dir=state_dir,
-        step_timeout_s=step_timeout_s,
-        backend_transport=backend_transport,
-    )
+    engine = SessionEngine(state_dir=state_dir, step_timeout_s=step_timeout_s)
     restored = engine.session_ids()
     server = make_http_server(
         host=host,
@@ -198,13 +193,6 @@ def main(argv=None) -> int:
         metavar="SECONDS",
         help="wall-clock budget per step call (exceeding it returns HTTP 503)",
     )
-    parser.add_argument(
-        "--backend-transport",
-        default=None,
-        metavar="NAME",
-        help="advertise the deployment's execution-backend transport in "
-        "/stats and /metrics: in-process (default), mp-queue or tcp",
-    )
     args = parser.parse_args(argv)
 
     if args.smoke is not None:
@@ -217,7 +205,6 @@ def main(argv=None) -> int:
         max_inflight=args.max_inflight,
         max_body_bytes=args.max_body_bytes,
         step_timeout_s=args.step_timeout,
-        backend_transport=args.backend_transport,
     )
 
 

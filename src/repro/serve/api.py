@@ -50,6 +50,10 @@ from .engine import ServeError, SessionEngine, SessionUnknown, StepTimeout
 #: default request-body cap for the HTTP front (1 MiB).
 DEFAULT_MAX_BODY_BYTES = 1 << 20
 
+#: ``Retry-After`` of both "try again" replies: a shed request (429) and a
+#: step that ran out of wall-clock budget (503).
+RETRY_AFTER_S = 1
+
 
 class PayloadTooLarge(ServeError):
     """The request body exceeds the configured cap (HTTP 413)."""
@@ -58,11 +62,10 @@ class PayloadTooLarge(ServeError):
 class Overloaded(ServeError):
     """Too many requests already in flight — shed, retry later (HTTP 429)."""
 
-    def __init__(self, retry_after_s: float = 1.0) -> None:
-        self.retry_after_s = retry_after_s
+    def __init__(self) -> None:
         super().__init__(
             "service is at its in-flight request limit; "
-            f"retry after {retry_after_s:g}s"
+            f"retry after {RETRY_AFTER_S}s"
         )
 
 
@@ -132,6 +135,12 @@ class ServeAPI:
             interaction = payload["interaction"]
         except KeyError as exc:
             raise ServeError(f"missing required field {exc.args[0]!r}") from None
+        for field, value in (
+            ("module", module), ("ip", ip_name), ("interaction", interaction)
+        ):
+            if not isinstance(value, str):
+                # Names are looked up: anything else is a 500 in the lookup.
+                raise ServeError(f"{field!r} must be a string, got {value!r}")
         params = payload.get("params") or {}
         if not isinstance(params, dict):
             raise ServeError(f"'params' must be an object, got {params!r}")
@@ -291,7 +300,7 @@ class _Handler(BaseHTTPRequestHandler):
                         admitted = gate.acquire(blocking=False)
                         if not admitted:
                             self.server.api.note_shed()
-                            raise Overloaded(self.server.retry_after_s)
+                            raise Overloaded()
                     status, document = handler(self._payload(body))
                 else:
                     status, document = handler()
@@ -306,12 +315,12 @@ class _Handler(BaseHTTPRequestHandler):
                     "session_id": exc.session_id,
                     "rounds_completed": exc.rounds_completed,
                 }
-                headers = {"Retry-After": f"{self.server.retry_after_s:g}"}
+                headers = {"Retry-After": str(RETRY_AFTER_S)}
             except PayloadTooLarge as exc:
                 status, document = 413, {"error": str(exc)}
             except Overloaded as exc:
                 status, document = 429, {"error": str(exc)}
-                headers = {"Retry-After": f"{exc.retry_after_s:g}"}
+                headers = {"Retry-After": str(RETRY_AFTER_S)}
             except ServeError as exc:
                 status, document = 400, {"error": str(exc)}
             except Exception as exc:  # pragma: no cover - defensive 500
@@ -419,7 +428,6 @@ class ServeHTTPServer(ThreadingHTTPServer):
         verbose: bool = False,
         max_inflight: Optional[int] = None,
         max_body_bytes: Optional[int] = DEFAULT_MAX_BODY_BYTES,
-        retry_after_s: float = 1.0,
     ):
         super().__init__(address, _Handler)
         self.api = api
@@ -430,7 +438,6 @@ class ServeHTTPServer(ThreadingHTTPServer):
             threading.Semaphore(max_inflight) if max_inflight is not None else None
         )
         self.max_body_bytes = max_body_bytes
-        self.retry_after_s = retry_after_s
 
     @property
     def port(self) -> int:
@@ -451,7 +458,6 @@ def make_http_server(
     verbose: bool = False,
     max_inflight: Optional[int] = None,
     max_body_bytes: Optional[int] = DEFAULT_MAX_BODY_BYTES,
-    retry_after_s: float = 1.0,
 ) -> ServeHTTPServer:
     """Build (but do not start) the HTTP front; ``port=0`` picks a free one."""
     return ServeHTTPServer(
@@ -460,5 +466,4 @@ def make_http_server(
         verbose=verbose,
         max_inflight=max_inflight,
         max_body_bytes=max_body_bytes,
-        retry_after_s=retry_after_s,
     )

@@ -50,7 +50,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..estelle.errors import EstelleError
 from ..estelle.interaction import Interaction
@@ -58,7 +58,6 @@ from ..estelle.specification import Specification
 from ..faults import FailingSink, FaultPlan, InjectedFault
 from ..obs import Observability
 from ..runtime.executor import SpecSource, SpecificationExecutor
-from ..runtime.mapping import MappingStrategy
 from ..runtime.planner import plan_code_cache_info
 from ..sim.machine import Cluster, Machine
 from .registry import CompiledSpec, SpecRegistry
@@ -66,6 +65,10 @@ from .registry import CompiledSpec, SpecRegistry
 #: rounds per executor.run() slice when a step carries a wall-clock budget;
 #: run() is timeslicing-safe, so slicing cannot change the trace.
 STEP_SLICE_ROUNDS = 32
+
+#: threads in the pool :meth:`SessionEngine.step_all` fans out over.  The
+#: HTTP front never touches it — its handler threads call ``step`` directly.
+STEP_POOL_WORKERS = 8
 
 #: on-disk session checkpoint format version.
 CHECKPOINT_VERSION = 1
@@ -100,24 +103,6 @@ class StepTimeout(ServeError):
             f"wall-clock budget after {rounds_completed} rounds "
             "(state is intact at a round boundary; step again to continue)"
         )
-
-
-def _validated_backend_transport(name: Optional[str]) -> str:
-    """Clamp the advertised backend transport to the known closed set.
-
-    The value becomes a ``/metrics`` label, so it must be bounded: either
-    ``"in-process"`` or a registered transport name — never free text.
-    """
-    from ..runtime.parallel.transport import transport_names
-
-    allowed = ("in-process",) + transport_names()
-    resolved = name if name is not None else "in-process"
-    if resolved not in allowed:
-        raise ServeError(
-            f"unknown backend transport {resolved!r}; expected one of "
-            f"{', '.join(allowed)}"
-        )
-    return resolved
 
 
 def default_cluster_for(specification: Specification) -> Cluster:
@@ -186,7 +171,10 @@ class Session:
         interaction_name: str,
         params: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        module = self.executor.specification.find(module_path)
+        try:
+            module = self.executor.specification.find(module_path)
+        except EstelleError as exc:
+            raise ServeError(str(exc)) from None
         point = module.ips.get(ip_name)
         if point is None:
             raise ServeError(
@@ -256,44 +244,28 @@ class SessionEngine:
     def __init__(
         self,
         registry: Optional[SpecRegistry] = None,
-        workers: int = 8,
-        cluster_factory: Optional[Callable[[Specification], Cluster]] = None,
-        mapping_factory: Optional[Callable[[], MappingStrategy]] = None,
         max_sessions: Optional[int] = None,
         obs: Optional[Observability] = None,
         state_dir: Optional[str] = None,
         step_timeout_s: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
-        autopersist: bool = False,
-        backend_transport: Optional[str] = None,
     ):
         self.registry = registry if registry is not None else SpecRegistry()
-        #: which wire the deployment's execution backend runs over —
-        #: ``"in-process"`` (the default: sessions run the in-process
-        #: executor on the engine's thread pool) or a name from
-        #: :func:`repro.runtime.parallel.transport_names` for deployments
-        #: fronting a multiprocess mesh.  Validated against that closed set
-        #: so the ``/metrics`` label stays bounded-cardinality by
-        #: construction.
-        self.backend_transport = _validated_backend_transport(backend_transport)
-        self.cluster_factory = cluster_factory or default_cluster_for
-        self.mapping_factory = mapping_factory
         self.max_sessions = max_sessions
         self._sessions: Dict[str, Session] = {}
         self._sessions_lock = threading.Lock()
         self._serial = itertools.count(1)
         self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
+            max_workers=STEP_POOL_WORKERS, thread_name_prefix="repro-serve"
         )
         self._closed = False
         self._shutting_down = False
         #: durability: a directory of per-session checkpoints.  Sessions are
-        #: persisted on shutdown (and via persist_session/persist_all, or
-        #: after every step with ``autopersist``) and restored on the next
-        #: engine start with byte-identical trace suffixes.
+        #: persisted on shutdown (and via persist_session/persist_all) and
+        #: restored on the next engine start with byte-identical trace
+        #: suffixes.
         self._state_dir = Path(state_dir) if state_dir is not None else None
         self._step_timeout_s = step_timeout_s
-        self._autopersist = autopersist
         #: deterministic fault injection (repro.faults): per-session typed
         #: exceptions and sink failures.  None (the default) is the
         #: zero-overhead path — nothing below ever checks it per-round.
@@ -370,15 +342,6 @@ class SessionEngine:
             "Highest concurrent session population seen.",
             callback=lambda: self.peak_sessions,
         )
-        # An info-style gauge: constant 1, the payload is the label.  The
-        # label set is bounded by _validated_backend_transport, so scrape
-        # cardinality is fixed at one series per engine.
-        registry.gauge(
-            "repro_serve_backend_transport",
-            "The engine's configured execution-backend transport (info metric; "
-            "value is always 1, the transport is the label).",
-            labelnames=("transport",),
-        ).labels(transport=self.backend_transport).set(1)
         registry.counter(
             "repro_serve_registry_hits_total",
             "Spec registry lookups served without recompiling.",
@@ -441,8 +404,7 @@ class SessionEngine:
         specification = entry.instantiate()
         return SpecificationExecutor(
             specification,
-            self.cluster_factory(specification),
-            mapping=self.mapping_factory() if self.mapping_factory else None,
+            default_cluster_for(specification),
             dispatch=entry.planner_dispatch,
             trace=True,
             obs=self.obs,
@@ -469,12 +431,19 @@ class SessionEngine:
         an :class:`ExecutorSnapshot`, so a fresh engine can rebuild the
         compiled artefacts and resume the executor with byte-identical
         trace suffixes.  Written atomically (tmp file + rename), so a
-        crash mid-write leaves the previous checkpoint intact.
+        crash mid-write leaves the previous checkpoint intact — and under
+        the session's lock, the one :meth:`close_session` unlinks under, so
+        a persist racing a close cannot leave a closed session's checkpoint
+        behind for the next start to resurrect.
         """
         if self._state_dir is None:
             raise ServeError("engine has no state directory (state_dir=None)")
         session = self._session(session_id)
+        path = self._checkpoint_path(session_id)
+        tmp = path.with_name(path.name + ".tmp")
         with session.lock:
+            if session.closed:
+                raise SessionUnknown(f"unknown session {session_id!r}")
             document = {
                 "version": CHECKPOINT_VERSION,
                 "session_id": session.id,
@@ -482,11 +451,9 @@ class SessionEngine:
                 "created_at": session.created_at,
                 "snapshot": session.executor.snapshot(),
             }
-        path = self._checkpoint_path(session_id)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as stream:
-            pickle.dump(document, stream, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+            with open(tmp, "wb") as stream:
+                pickle.dump(document, stream, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
         self._m_ckpt_written.inc()
         self.obs.events.emit(
             "session_checkpoint", session_id=session_id, path=str(path)
@@ -587,16 +554,18 @@ class SessionEngine:
                 self.sessions_closed += 1
         if session is None:
             raise SessionUnknown(f"unknown session {session_id!r}")
-        if self._state_dir is not None and not self._shutting_down:
-            # An explicitly closed session is finished — its checkpoint must
-            # not resurrect it on the next start.  (Shutdown-time closes keep
-            # theirs: that's the durability path.)
-            try:
-                self._checkpoint_path(session_id).unlink(missing_ok=True)
-            except OSError:
-                pass
         with session.lock:
             session.closed = True
+            if self._state_dir is not None and not self._shutting_down:
+                # An explicitly closed session is finished — its checkpoint
+                # must not resurrect it on the next start.  (Shutdown-time
+                # closes keep theirs: that's the durability path.)  Under the
+                # lock: a persist that got in first has finished writing, a
+                # later one sees ``closed``.
+                try:
+                    self._checkpoint_path(session_id).unlink(missing_ok=True)
+                except OSError:
+                    pass
             final = session.health()
         self.obs.events.emit(
             "session_close",
@@ -631,7 +600,7 @@ class SessionEngine:
         budget = timeout_s if timeout_s is not None else self._step_timeout_s
         try:
             with session.lock, self._h_step.time():
-                health = session.step(rounds, deadline=deadline, budget_s=budget)
+                return session.step(rounds, deadline=deadline, budget_s=budget)
         except StepTimeout as exc:
             self._m_step_timeouts.inc()
             self.obs.events.emit(
@@ -641,9 +610,6 @@ class SessionEngine:
                 budget_s=exc.budget_s,
             )
             raise
-        if self._autopersist and self._state_dir is not None:
-            self.persist_session(session_id)
-        return health
 
     def run_to_quiescence(
         self, session_id: str, max_rounds: int = 10_000
@@ -738,7 +704,6 @@ class SessionEngine:
             "sessions_created": self.sessions_created,
             "sessions_closed": self.sessions_closed,
             "uptime_seconds": time.time() - self.started_at,
-            "backend_transport": self.backend_transport,
             "registry": self.registry.stats(),
             "plan_code_cache": plan_code_cache_info(),
             "obs": self.obs.stats(),

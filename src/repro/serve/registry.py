@@ -35,12 +35,35 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Any, Dict, Optional
+from pathlib import Path
+from typing import Any, Dict, Optional, Tuple
 
 from ..estelle.frontend import SpecificationTemplate, compile_template
 from ..estelle.specification import Specification
 from ..runtime.executor import SpecSource
 from ..runtime.planner import PlannerDispatch
+
+
+def _load(source: SpecSource) -> Tuple[str, Optional[Tuple[str, str]]]:
+    """A source's registry key and, for an Estelle source, the ``(text,
+    filename)`` the key was computed from (``None`` for a factory).
+
+    The one place a spec file is read: an entry's key and its template must
+    come from the same text, or a file rewritten between two reads would be
+    filed under one text and compiled from another.
+    """
+    if source.kind == "estelle-file":
+        estelle = (Path(source.payload).read_text(), source.payload)
+    elif source.kind == "estelle-text":
+        filename = dict(source.kwargs).get("filename", "<estelle>")
+        estelle = (source.payload, filename)
+    else:
+        estelle = None
+    if estelle is not None:
+        material = f"estelle\x00{estelle[0]}"
+    else:
+        material = f"{source.kind}\x00{source.payload}\x00{source.kwargs!r}"
+    return hashlib.sha256(material.encode("utf-8")).hexdigest(), estelle
 
 
 def source_key(source: SpecSource) -> str:
@@ -49,22 +72,15 @@ def source_key(source: SpecSource) -> str:
     ``estelle-file`` sources are keyed by *file content*, so a path and the
     equivalent inline text resolve to the same registry entry.
     """
-    if source.kind == "estelle-file":
-        from pathlib import Path
-
-        text = Path(source.payload).read_text()
-        material = f"estelle\x00{text}"
-    elif source.kind == "estelle-text":
-        material = f"estelle\x00{source.payload}"
-    else:
-        material = f"{source.kind}\x00{source.payload}\x00{source.kwargs!r}"
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return _load(source)[0]
 
 
 class CompiledSpec:
     """One registry entry: a compiled source plus its shared artefacts."""
 
-    def __init__(self, key: str, source: SpecSource):
+    def __init__(
+        self, key: str, source: SpecSource, estelle: Optional[Tuple[str, str]]
+    ):
         self.key = key
         self.source = source
         #: how many times the front-end actually ran for this entry.  The
@@ -81,20 +97,9 @@ class CompiledSpec:
         #: once per entry.
         self.planner_dispatch = PlannerDispatch()
         self._lock = threading.Lock()
-        if source.kind in ("estelle-file", "estelle-text"):
-            self._template = self._compile_template()
-
-    def _compile_template(self) -> SpecificationTemplate:
-        if self.source.kind == "estelle-file":
-            from pathlib import Path
-
-            text = Path(self.source.payload).read_text()
-            filename = self.source.payload
-        else:
-            text = self.source.payload
-            filename = dict(self.source.kwargs).get("filename", "<estelle>")
-        self.compile_count += 1
-        return compile_template(text, filename)
+        if estelle is not None:
+            self.compile_count += 1
+            self._template = compile_template(*estelle)
 
     @property
     def name(self) -> str:
@@ -138,13 +143,13 @@ class SpecRegistry:
 
     def get(self, source: SpecSource) -> CompiledSpec:
         """The entry for ``source``, compiling it on first sight only."""
-        key = source_key(source)
+        key, estelle = _load(source)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self.hits += 1
                 return entry
-            entry = CompiledSpec(key, source)
+            entry = CompiledSpec(key, source, estelle)
             self._entries[key] = entry
             self.misses += 1
             return entry

@@ -1,6 +1,5 @@
-"""Error-path coverage: factory unknown names, transition clause validation,
-malformed frontend delay clauses, and the scheduler's precomputed-membership
-overhead accounting."""
+"""Error-path coverage: factory unknown names, transition clause validation
+and malformed frontend delay clauses."""
 
 import pytest
 
@@ -11,13 +10,10 @@ from repro.estelle.frontend import (
     compile_source,
 )
 from repro.runtime import (
-    DecentralisedScheduler,
-    TableDrivenDispatch,
     dispatch_by_name,
     mapping_by_name,
     scheduler_by_name,
 )
-from tests.helpers import build_worker_spec
 
 
 class TestFactoryErrors:
@@ -75,36 +71,6 @@ class TestTransitionClauseValidation:
         )
         with pytest.raises(TransitionError, match="is not enabled"):
             stop.fire(ponger)
-
-
-class TestUnitOverheadMembership:
-    """The decentralised scheduler accepts precomputed frozensets (perf fix)."""
-
-    def _plan(self):
-        spec = build_worker_spec(workers=3, steps=1)
-        scheduler = DecentralisedScheduler(per_module_cost=1.0)
-        plan = scheduler.plan_round(
-            spec, TableDrivenDispatch(scan_cost=0.0, table_overhead=0.0)
-        )
-        return scheduler, plan
-
-    def test_frozenset_and_list_agree(self):
-        scheduler, plan = self._plan()
-        paths = [
-            "workers/pool",
-            "workers/pool/worker-0",
-            "workers/pool/worker-1",
-            "workers/pool/worker-2",
-        ]
-        from_list = scheduler.unit_overhead(plan, paths)
-        from_frozenset = scheduler.unit_overhead(plan, frozenset(paths))
-        assert from_list == from_frozenset == pytest.approx(4.0)
-
-    def test_partial_membership(self):
-        scheduler, plan = self._plan()
-        member = frozenset({"workers/pool/worker-1"})
-        assert scheduler.unit_overhead(plan, member) == pytest.approx(1.0)
-        assert scheduler.unit_overhead(plan, frozenset()) == 0.0
 
 
 #: Minimal single-module spec with a substitutable transition-clause slot.

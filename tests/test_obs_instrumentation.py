@@ -144,7 +144,7 @@ class TestServeInstrumentation:
     def test_step_all_thread_pool_increments_shared_counters(self):
         """All sessions share the engine's registry; concurrent step_all
         sweeps must aggregate without losing updates."""
-        engine = SessionEngine(workers=4)
+        engine = SessionEngine()
         try:
             source = SpecSource.from_estelle_file(MCAM_SESSIONS)
             for _ in range(6):
@@ -198,40 +198,6 @@ class TestServeInstrumentation:
             )
         finally:
             engine.shutdown()
-
-    def test_backend_transport_in_stats_and_metrics(self):
-        """ISSUE 9: deployments can tell mp-queue from tcp at a glance —
-        /stats carries the name and /metrics carries it as a bounded label."""
-        engine = SessionEngine(backend_transport="tcp")
-        try:
-            assert engine.stats()["backend_transport"] == "tcp"
-            family = engine.obs.registry.get("repro_serve_backend_transport")
-            assert family.labels(transport="tcp").value == 1.0
-        finally:
-            engine.shutdown()
-
-    def test_backend_transport_defaults_to_in_process(self):
-        engine = SessionEngine()
-        try:
-            assert engine.stats()["backend_transport"] == "in-process"
-        finally:
-            engine.shutdown()
-
-    def test_backend_transport_label_set_is_closed(self):
-        from repro.serve.engine import ServeError
-
-        with pytest.raises(ServeError, match="unknown backend transport"):
-            SessionEngine(backend_transport="osi-layer-9")
-
-    def test_backend_transport_renders_in_prometheus_exposition(self):
-        api = ServeAPI(engine=SessionEngine(backend_transport="mp-queue"))
-        try:
-            rendered = api.metrics()
-            assert (
-                'repro_serve_backend_transport{transport="mp-queue"} 1' in rendered
-            )
-        finally:
-            api.engine.shutdown()
 
     def test_http_request_counter_by_route_template(self):
         api = ServeAPI()

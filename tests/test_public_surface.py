@@ -1,0 +1,181 @@
+"""The narrowed public surface (ISSUE 16): no option without a caller.
+
+``execute()`` is one signature both backends honour — an argument a backend
+would discard is a ``TypeError``, not a docstring — and the serve engine, the
+HTTP front and both CLIs carry no removed option.  These are the tripwires
+that keep a removed argument from drifting back in.
+"""
+
+import inspect
+from pathlib import Path
+
+import pytest
+
+from repro.runtime import (
+    DecentralisedScheduler,
+    ExecutionBackend,
+    GroupedMapping,
+    InProcessBackend,
+    MultiprocessBackend,
+    PlannerDispatch,
+    SpecSource,
+)
+from repro.runtime.parallel import __main__ as parallel_cli
+from repro.runtime.parallel import backend as mesh_module
+from repro.serve import SessionEngine
+from repro.serve import __main__ as serve_cli
+from repro.serve.api import ServeHTTPServer, make_http_server
+from repro.sim import Cluster, Machine
+
+MCAM_SPEC = Path(__file__).parent.parent / "examples" / "specs" / "mcam_core.estelle"
+
+SHARED_EXECUTE = [
+    "self",
+    "source",
+    "cluster",
+    "mapping",
+    "dispatch",
+    "max_rounds",
+    "busy_work_us_per_cost",
+    "obs",
+]
+
+
+def parameters(function):
+    return list(inspect.signature(function).parameters)
+
+
+def mcam():
+    return SpecSource.from_estelle_file(MCAM_SPEC)
+
+
+def two_machines():
+    cluster = Cluster()
+    cluster.add(Machine("ksr1", 1))
+    cluster.add(Machine("client-ws-1", 1))
+    return cluster
+
+
+@pytest.fixture()
+def no_spawn(monkeypatch):
+    """The names of the worker processes ``execute()`` asked for — recorded,
+    never started (the probe of ``test_unknown_dispatch_name_fails_before_
+    any_spawn``)."""
+    asked = []
+    monkeypatch.setattr(
+        mesh_module._ControlPlane,
+        "spawn",
+        lambda self, uid, config, endpoint, name: asked.append(name),
+    )
+    return asked
+
+
+class TestExecuteSignature:
+    def test_one_signature_both_backends_honour(self):
+        abstract = inspect.signature(ExecutionBackend.execute)
+        assert list(abstract.parameters) == SHARED_EXECUTE
+        assert inspect.signature(InProcessBackend.execute) == abstract
+        mesh = inspect.signature(MultiprocessBackend.execute)
+        assert list(mesh.parameters) == SHARED_EXECUTE + ["fault_plan", "supervise"]
+        for name in SHARED_EXECUTE:
+            assert mesh.parameters[name] == abstract.parameters[name]
+
+    @pytest.mark.parametrize("backend", [InProcessBackend, MultiprocessBackend])
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            pytest.param({"scheduler": DecentralisedScheduler()}, id="scheduler"),
+            pytest.param({"dispatch_kwargs": {}}, id="dispatch_kwargs"),
+        ],
+    )
+    def test_a_removed_argument_is_a_type_error_before_any_spawn(
+        self, no_spawn, backend, removed
+    ):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            backend().execute(mcam(), two_machines(), mapping=GroupedMapping(), **removed)
+        assert no_spawn == []
+
+    def test_mesh_holds_dispatch_to_the_registry_without_building_a_strategy(
+        self, no_spawn, monkeypatch
+    ):
+        """``dispatch=`` stays on the mesh (the ruler passes it) and selects
+        nothing there: the name is looked up, no strategy object is made."""
+        with pytest.raises(ValueError, match="unknown dispatch strategy 'quantum'"):
+            MultiprocessBackend().execute(
+                mcam(), two_machines(), mapping=GroupedMapping(), dispatch="quantum"
+            )
+        assert no_spawn == []
+
+        class ReachedSpawn(Exception):
+            pass
+
+        def refuse_to_spawn(self, uid, config, endpoint, name):
+            raise ReachedSpawn(name)
+
+        built = []
+        monkeypatch.setattr(mesh_module._ControlPlane, "spawn", refuse_to_spawn)
+        monkeypatch.setattr(
+            PlannerDispatch, "__init__", lambda self, **costs: built.append(self)
+        )
+        with pytest.raises(ReachedSpawn, match="estelle-unit-"):
+            MultiprocessBackend().execute(
+                mcam(), two_machines(), mapping=GroupedMapping(), dispatch="planner"
+            )
+        assert built == []
+
+
+class TestConstructors:
+    def test_mesh_backend(self):
+        assert parameters(MultiprocessBackend.__init__) == [
+            "self",
+            "round_timeout_s",
+            "transport",
+            "transport_options",
+            "relax_barrier",
+            "lookahead_rounds",
+        ]
+
+    def test_session_engine(self):
+        assert parameters(SessionEngine.__init__) == [
+            "self",
+            "registry",
+            "max_sessions",
+            "obs",
+            "state_dir",
+            "step_timeout_s",
+            "fault_plan",
+        ]
+
+    def test_http_front(self):
+        server = ["verbose", "max_inflight", "max_body_bytes"]
+        assert parameters(ServeHTTPServer.__init__) == ["self", "address", "api"] + server
+        assert parameters(make_http_server) == ["host", "port", "engine"] + server
+
+
+@pytest.mark.parametrize(
+    "main,flags",
+    [
+        pytest.param(
+            serve_cli.main,
+            {"--host", "--port", "--verbose", "--smoke", "--spec", "--rounds-per-slice",
+             "--state-dir", "--max-inflight", "--max-body-bytes", "--step-timeout"},
+            id="repro.serve",
+        ),
+        pytest.param(
+            parallel_cli.main,
+            {"--processors", "--max-rounds", "--transport", "--busy-work-us",
+             "--relax-barrier"},
+            id="repro.runtime.parallel",
+        ),
+    ],
+)
+def test_cli_help_lists_no_removed_flag(capsys, main, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    listed = {
+        word.rstrip(",")
+        for word in capsys.readouterr().out.split()
+        if word.startswith("--")
+    }
+    assert listed - {"--help"} == flags

@@ -20,6 +20,7 @@ seeded crash schedules on top of the fixed cases.
 import json
 import os
 import pickle
+import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -394,6 +395,44 @@ class TestEnginePersistence:
             assert not list(state_dir.glob("*.ckpt"))
         finally:
             engine.shutdown()
+
+    def test_persist_racing_a_close_does_not_resurrect_the_session(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``DELETE`` overlapping ``shutdown()``'s ``persist_all()``: the
+        close used to finish (pop, unlink) between the snapshot and the
+        rename, so the file written afterwards brought the closed session
+        back on the next start.  The write and the unlink now share the
+        session's lock."""
+        state_dir = tmp_path / "state"
+        engine = SessionEngine(state_dir=str(state_dir))
+        try:
+            sid = engine.create_session(ticker_source())
+            engine.step(sid, rounds=4)
+            closer = threading.Thread(target=engine.close_session, args=(sid,))
+            real_dump = pickle.dump
+
+            def dump_while_closing(document, stream, **options):
+                closer.start()
+                # Give the close every chance to run ahead of the write; it
+                # can only get as far as waiting for the session's lock.
+                closer.join(timeout=0.5)
+                real_dump(document, stream, **options)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(pickle, "dump", dump_while_closing)
+                engine.persist_session(sid)
+            closer.join(timeout=10)
+            assert not closer.is_alive()
+            assert engine.session_ids() == []
+            assert not list(state_dir.glob("*.ckpt"))
+        finally:
+            engine.shutdown()
+        restarted = SessionEngine(state_dir=str(state_dir))
+        try:
+            assert restarted.session_ids() == []
+        finally:
+            restarted.shutdown()
 
     def test_corrupt_checkpoint_is_skipped_not_fatal(self, tmp_path):
         state_dir = tmp_path / "state"

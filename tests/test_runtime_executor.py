@@ -9,6 +9,7 @@ from repro.runtime import (
     GroupedMapping,
     SequentialMapping,
     SpecificationExecutor,
+    TableDrivenDispatch,
     ThreadPerModuleMapping,
     run_specification,
 )
@@ -189,6 +190,21 @@ class TestCostAccounting:
         decentral = run(DecentralisedScheduler(per_module_cost=0.5))
         assert central.elapsed_time > decentral.elapsed_time
         assert central.scheduler_share > decentral.scheduler_share * 0.5
+
+        def first_round_serial(scheduler):
+            _, executor = run_specification(
+                build_worker_spec(workers=3, steps=1),
+                single_machine_cluster(processors=8),
+                scheduler=scheduler,
+                dispatch=TableDrivenDispatch(scan_cost=0.0, table_overhead=0.0),
+                trace=True,
+            )
+            return executor.trace.rounds[0].serial_overhead
+
+        # With scanning free: 1 system module + 3 workers examined, all of it
+        # serial under the centralised scheduler and none under the other.
+        assert first_round_serial(CentralisedScheduler(per_module_cost=1.0)) == pytest.approx(4.0)
+        assert first_round_serial(DecentralisedScheduler(per_module_cost=1.0)) == 0.0
 
     def test_cross_unit_messages_cost_more_than_intra_unit(self):
         cost_model = CostModel(sync_cost=5.0, intra_unit_message_cost=0.01)

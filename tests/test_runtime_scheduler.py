@@ -82,6 +82,9 @@ class TestSelectionSemantics:
         spec = build_worker_spec(workers=4, steps=2)
         round_plan = plan(spec)
         assert len(round_plan.firings) == 4
+        # 1 system module + 4 workers examined, whichever scheduler walks
+        assert round_plan.examined_modules == 5
+        assert plan(spec, scheduler=CentralisedScheduler()).examined_modules == 5
 
     def test_activity_children_mutually_exclusive(self):
         spec = Specification("t")
@@ -106,28 +109,6 @@ class TestSelectionSemantics:
 
 
 class TestOverheadAccounting:
-    def test_centralised_serial_overhead(self):
-        spec = build_worker_spec(workers=3, steps=1)
-        scheduler = CentralisedScheduler(per_module_cost=1.0)
-        round_plan = scheduler.plan_round(spec, TableDrivenDispatch(scan_cost=0.0, table_overhead=0.0))
-        # 1 system module + 3 workers examined
-        assert round_plan.examined_modules == 4
-        assert scheduler.serial_overhead(round_plan) == pytest.approx(4.0)
-        assert scheduler.unit_overhead(round_plan, ["workers/pool"]) == 0.0
-
-    def test_decentralised_unit_overhead(self):
-        spec = build_worker_spec(workers=3, steps=1)
-        scheduler = DecentralisedScheduler(per_module_cost=1.0)
-        round_plan = scheduler.plan_round(spec, TableDrivenDispatch(scan_cost=0.0, table_overhead=0.0))
-        assert scheduler.serial_overhead(round_plan) == 0.0
-        one_unit = scheduler.unit_overhead(round_plan, ["workers/pool/worker-0"])
-        all_units = scheduler.unit_overhead(
-            round_plan,
-            ["workers/pool", "workers/pool/worker-0", "workers/pool/worker-1", "workers/pool/worker-2"],
-        )
-        assert one_unit == pytest.approx(1.0)
-        assert all_units == pytest.approx(4.0)
-
     def test_examined_costs_include_dispatch_scanning(self):
         spec = build_worker_spec(workers=2, steps=1)
         dispatch = HardCodedDispatch(scan_cost=0.5)

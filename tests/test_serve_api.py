@@ -174,6 +174,50 @@ class TestHTTPFront:
         )
         assert health["transitions_fired"] == 1
 
+    @pytest.mark.parametrize(
+        "payload,fragment",
+        [
+            # Each of these used to answer 500 (EstelleError, AttributeError
+            # and TypeError escaping the ServeError mapping).
+            pytest.param(
+                {"module": "nope", "ip": "ctl", "interaction": "Ping"},
+                "no module at path 'nope'", id="unknown-module-path",
+            ),
+            pytest.param(
+                {"module": "srv/deeper", "ip": "ctl", "interaction": "Ping"},
+                "no module at path 'srv/deeper'", id="unknown-child-path",
+            ),
+            pytest.param(
+                {"module": 5, "ip": "ctl", "interaction": "Ping"},
+                "'module' must be a string", id="module-5",
+            ),
+            pytest.param(
+                {"module": "srv", "ip": ["x"], "interaction": "Ping"},
+                "'ip' must be a string", id="ip-list",
+            ),
+            pytest.param(
+                {"module": "srv", "ip": "ctl", "interaction": {"n": 1}},
+                "'interaction' must be a string", id="interaction-object",
+            ),
+        ],
+    )
+    def test_inject_answers_400_never_500(self, http_server, payload, fragment):
+        _, created = request(http_server, "POST", "/sessions", {"spec_text": ECHO_SPEC})
+        inject_path = f"/sessions/{created['session_id']}/interactions"
+        status, body = request(http_server, "POST", inject_path, payload)
+        assert status == 400, body
+        assert fragment in body["error"]
+        # The refusal queued nothing, and the session steps as if never asked.
+        status, body = request(
+            http_server, "POST", inject_path,
+            {"module": "srv", "ip": "ctl", "interaction": "Ping"},
+        )
+        assert status == 200 and body["queued"] == 1
+        _, health = request(
+            http_server, "POST", f"/sessions/{created['session_id']}/step", {"rounds": 50}
+        )
+        assert health["transitions_fired"] == 1
+
     def test_unknown_session_is_404(self, http_server):
         for method, path in (
             ("GET", "/sessions/ghost"),

@@ -106,6 +106,41 @@ class TestRegistryCompileOnce:
         assert len(registry) == 1
         assert registry.hits == 1 and registry.misses == 1
 
+    def test_a_file_is_read_once_per_miss(self, tmp_path, monkeypatch):
+        """The key and the template come from one read.  They used to come
+        from two, so a file rewritten in between was filed under the first
+        text and compiled from the second — and every later ``get()`` of the
+        first text was served the wrong protocol."""
+        from repro.serve import registry as registry_module
+
+        path = tmp_path / "echo.estelle"
+        path.write_text(ECHO_SPEC)
+        rewritten = ECHO_SPEC.replace("specification echo;", "specification other;")
+        reads = []
+        real_read_text = Path.read_text
+
+        def rewritten_after_every_read(self, *args, **kwargs):
+            if self != path:
+                return real_read_text(self, *args, **kwargs)
+            reads.append(self)
+            return ECHO_SPEC if len(reads) == 1 else rewritten
+
+        compiled = []
+        real_compile = registry_module.compile_template
+
+        def recording_compile(text, filename):
+            compiled.append(text)
+            return real_compile(text, filename)
+
+        monkeypatch.setattr(Path, "read_text", rewritten_after_every_read)
+        monkeypatch.setattr(registry_module, "compile_template", recording_compile)
+        registry = SpecRegistry()
+        entry = registry.get(SpecSource.from_estelle_file(path))
+        assert len(reads) == 1
+        assert compiled == [ECHO_SPEC] and entry.name == "echo"
+        assert entry.key == source_key(SpecSource.from_estelle_text(ECHO_SPEC))
+        assert registry.get(echo_source()) is entry and entry.compile_count == 1
+
     def test_factory_sources_honestly_recount(self):
         registry = SpecRegistry()
         entry = registry.get(
