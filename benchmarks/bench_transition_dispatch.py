@@ -24,6 +24,7 @@ from repro.runtime import (
     GeneratedDispatchStrategy,
     HardCodedDispatch,
     TableDrivenDispatch,
+    compile_module_class,
 )
 
 TRANSITION_SWEEP = (2, 4, 6, 8, 12, 16)
@@ -147,6 +148,6 @@ class TestTransitionDispatch:
         """Generated selection on the same module: specialized row code."""
         module = make_module(16)
         generated = GeneratedDispatchStrategy()
-        generated.compiled_for(type(module))  # compile outside the timed loop
+        compile_module_class(type(module))  # compile outside the timed loop
         result = benchmark(lambda: generated.select(module))
         assert result.examined <= 4  # never examines more than the table row

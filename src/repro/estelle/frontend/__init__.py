@@ -184,7 +184,7 @@ def compile_template(
     The template's :meth:`~SpecificationTemplate.instantiate` builds fresh,
     mutually independent specifications that share the lowered module
     classes (and therefore all per-class compiled dispatch artefacts) —
-    the cheap-session-spawn path used by :mod:`repro.serve`.
+    the path :meth:`repro.runtime.SpecSource.build` caches per text.
     """
     return SpecificationTemplate(parse_source(source, filename))
 

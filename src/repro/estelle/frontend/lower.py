@@ -880,9 +880,10 @@ class SpecificationTemplate:
 
     Because all instances share the module *classes*, they also share every
     per-class compiled artefact downstream: the code generator's dispatch
-    selectors (cached per class) and the fused planner's code objects (cached
-    by generated source).  This is the compile-once contract the
-    :mod:`repro.serve` registry builds on.
+    selectors (stored on each class) and the fused planner's programs (cached
+    by tree shape).  This is the compile-once contract
+    :meth:`repro.runtime.SpecSource.build` and the :mod:`repro.serve`
+    registry build on.
 
     ``instantiate`` is safe to call concurrently from multiple threads: it
     only reads the lowered template and builds fresh objects.

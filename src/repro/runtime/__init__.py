@@ -30,8 +30,6 @@ from .codegen import (
     GeneratedProgram,
     compile_module_class,
     compile_specification,
-    generated_source,
-    load_dumped_selector,
 )
 from .dispatch import (
     DispatchResult,
@@ -126,8 +124,6 @@ __all__ = [
     "compile_specification",
     "dispatch_by_name",
     "firing_advance",
-    "generated_source",
-    "load_dumped_selector",
     "mapping_by_name",
     "next_delay_deadline",
     "register_backend",

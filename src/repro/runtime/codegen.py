@@ -19,6 +19,10 @@ metadata at runtime:
   into the existing runtime, registered with
   :func:`repro.runtime.dispatch.dispatch_by_name` under ``"generated"``.
 
+A selector is compiled once per module class and stored on the class
+(:func:`compile_module_class`); the classes of one specification text are
+themselves lowered once per process (:meth:`repro.runtime.SpecSource.build`).
+
 The generated selector produces exactly the same choice as
 :class:`~repro.runtime.dispatch.TableDrivenDispatch` (same priority order,
 same row contents) while examining at most as many candidates, so its
@@ -28,10 +32,8 @@ never worse than the table-driven strategy's.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..estelle.frontend.lower import quantifier_range
 from ..estelle.module import Module
@@ -47,6 +49,9 @@ from .dispatch import (
 
 #: A generated selector: ``(module) -> (chosen transition or None, examined)``.
 SelectorFn = Callable[[Module], Tuple[Optional[Transition], int]]
+
+#: The class attribute :func:`compile_module_class` stores its artifact in.
+_ARTIFACT_ATTRIBUTE = "_generated_dispatch"
 
 
 @dataclass
@@ -167,7 +172,13 @@ def _emit_row(
 
 
 def compile_module_class(module_class: Type[Module]) -> CompiledModuleDispatch:
-    """Generate, compile and return the specialized selector for a class."""
+    """The specialized selector for a class, generated on first use and kept
+    on the class itself (a subclass, which would inherit the attribute, gets
+    its own).  Two threads racing on a new class may both generate; either
+    artifact serves."""
+    compiled = getattr(module_class, _ARTIFACT_ATTRIBUTE, None)
+    if compiled is not None and compiled.module_class is module_class:
+        return compiled
     # Rows and ordering come from the same helpers the table-driven strategy
     # uses, so the two strategies select from identical candidate lists.
     rows = state_rows(module_class)
@@ -244,54 +255,14 @@ def compile_module_class(module_class: Type[Module]) -> CompiledModuleDispatch:
         "_qrange": quantifier_range,
     }
     exec(compile(source, f"<generated dispatch {module_class.__name__}>", "exec"), namespace)
-    return CompiledModuleDispatch(
+    compiled = CompiledModuleDispatch(
         module_class=module_class,
         source=source,
         rows=rows,
         select=namespace["_select"],
     )
-
-
-def generated_source(module_class: Type[Module]) -> str:
-    """The generated selection source for a module class (for inspection)."""
-    return compile_module_class(module_class).source
-
-
-def _guard_bindings(transitions: Tuple[Transition, ...]) -> List[Callable[..., bool]]:
-    """The ``_RAW`` guard list in generation order (transitions with a guard,
-    priority order) — shared by :func:`compile_module_class` and the AOT
-    loader so dumped sources rebind against identical namespaces."""
-    return [t.provided for t in transitions if t.provided is not None]
-
-
-def load_dumped_selector(
-    path: Union[str, Path], module_class: Type[Module]
-) -> CompiledModuleDispatch:
-    """AOT-import a selector source written by :meth:`GeneratedProgram.dump_sources`.
-
-    The dumped file contains only the generated functions; the transition
-    objects (``_T``) and raw guard closures (``_RAW``) are rebound here from
-    ``module_class``'s declarations, which produce the same ordering the
-    generator used.  The returned artifact is interchangeable with a freshly
-    generated one (hand it to :meth:`GeneratedDispatchStrategy.adopt`).
-    """
-    path = Path(path)
-    source = path.read_text()
-    transitions = priority_ordered_transitions(module_class)
-    namespace: Dict[str, Any] = {
-        "_T": transitions,
-        "_RAW": _guard_bindings(transitions),
-        "_qrange": quantifier_range,
-    }
-    exec(compile(source, str(path), "exec"), namespace)
-    if "_select" not in namespace:
-        raise ValueError(f"{path} does not define a generated '_select' function")
-    return CompiledModuleDispatch(
-        module_class=module_class,
-        source=source,
-        rows=state_rows(module_class),
-        select=namespace["_select"],
-    )
+    setattr(module_class, _ARTIFACT_ATTRIBUTE, compiled)
+    return compiled
 
 
 @register_strategy
@@ -310,27 +281,14 @@ class GeneratedDispatchStrategy(DispatchStrategy):
 
     def __init__(self, scan_cost: float = 0.08, generated_overhead: float = 0.15):
         super().__init__(scan_cost=scan_cost, overhead=generated_overhead)
-        self._compiled: Dict[type, CompiledModuleDispatch] = {}
-
-    def compiled_for(self, module_class: Type[Module]) -> CompiledModuleDispatch:
-        compiled = self._compiled.get(module_class)
-        if compiled is None:
-            compiled = compile_module_class(module_class)
-            self._compiled[module_class] = compiled
-        return compiled
-
-    def adopt(self, compiled: CompiledModuleDispatch) -> None:
-        """Install a pre-built artifact (e.g. one AOT-loaded from disk by
-        :func:`load_dumped_selector`) so no generation happens at runtime."""
-        self._compiled[compiled.module_class] = compiled
 
     def candidates(self, module: Module) -> List[Transition]:
-        return list(self.compiled_for(type(module)).row_for(module.state))
+        return list(compile_module_class(type(module)).row_for(module.state))
 
     def select(self, module: Module) -> DispatchResult:
         if module.EXTERNAL:
             return self._external_result(module)
-        chosen, examined = self.compiled_for(type(module)).select(module)
+        chosen, examined = compile_module_class(type(module)).select(module)
         return DispatchResult(
             transition=chosen,
             examined=examined,
@@ -355,48 +313,6 @@ class GeneratedProgram:
     def artifact_for(self, module_class: Type[Module]) -> CompiledModuleDispatch:
         return self.artifacts[module_class.__name__]
 
-    def dump_sources(self, directory: Union[str, Path]) -> List[Path]:
-        """Write every generated selection function to ``directory``.
-
-        One ``<ClassName>_dispatch.py`` per module class plus a
-        ``MANIFEST.json`` mapping class names to files.  The dumped sources
-        serve two purposes: inspection (what exactly does the optimizer emit
-        for this specification?) and AOT import — :func:`load_dumped_selector`
-        rebinds a dumped file against its module class without re-running the
-        generator, which is how a worker-side reconstruction can be compared
-        against the sources the coordinator saw.  Returns the written paths
-        (manifest last).
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        written: List[Path] = []
-        manifest: Dict[str, str] = {}
-        for class_name in sorted(self.artifacts):
-            artifact = self.artifacts[class_name]
-            file_name = f"{class_name}_dispatch.py"
-            path = directory / file_name
-            header = (
-                f'"""Generated transition-selection code for module class '
-                f'{class_name!r}\nof specification {self.specification.name!r}.\n\n'
-                "Rebind with repro.runtime.codegen.load_dumped_selector(path, "
-                "module_class);\nthe '_T' / '_RAW' namespaces are reconstructed "
-                'from the class declarations.\n"""\n\n'
-            )
-            path.write_text(header + artifact.source + "\n")
-            manifest[class_name] = file_name
-            written.append(path)
-        manifest_path = directory / "MANIFEST.json"
-        manifest_path.write_text(
-            json.dumps(
-                {"specification": self.specification.name, "artifacts": manifest},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        written.append(manifest_path)
-        return written
-
 
 def compile_specification(
     specification: Specification,
@@ -406,8 +322,9 @@ def compile_specification(
     """Generate dispatch code for every module class used by ``specification``.
 
     The returned program's ``strategy`` is ready to hand to
-    :class:`repro.runtime.executor.SpecificationExecutor` (its compile cache
-    is pre-populated, so no generation happens on the hot path).
+    :class:`repro.runtime.executor.SpecificationExecutor` (every class's
+    selector is already compiled and stored on the class, so no generation
+    happens on the hot path).
     """
     strategy = GeneratedDispatchStrategy(
         scan_cost=scan_cost, generated_overhead=generated_overhead
@@ -416,6 +333,5 @@ def compile_specification(
     for module in specification.modules():
         module_class = type(module)
         if module_class.__name__ not in program.artifacts:
-            artifact = strategy.compiled_for(module_class)
-            program.artifacts[module_class.__name__] = artifact
+            program.artifacts[module_class.__name__] = compile_module_class(module_class)
     return program

@@ -37,14 +37,17 @@ is asserted by ``tests/test_parallel_backend.py`` and the CI smoke job.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
+import threading
 import time
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
 
 from ..estelle.errors import SchedulingError
+from ..estelle.frontend import SpecificationTemplate, compile_template
 from ..estelle.module import Module
 from ..estelle.specification import Specification
 from ..obs import NULL_OBS, Observability
@@ -592,6 +595,35 @@ def run_specification(
 # ---------------------------------------------------------------------------
 
 
+#: Bound on :func:`estelle_template`'s cache: the process keeps the compiled
+#: templates of this many distinct (filename, text) pairs, oldest out first.
+_TEMPLATE_CACHE_LIMIT = 64
+_TEMPLATE_CACHE: "OrderedDict[str, SpecificationTemplate]" = OrderedDict()
+_TEMPLATE_CACHE_LOCK = threading.Lock()
+
+
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\x00".join(parts).encode("utf-8")).hexdigest()
+
+
+def estelle_template(text: str, filename: str) -> SpecificationTemplate:
+    """The compiled template of one Estelle text, lowered once per process.
+
+    Keyed by filename as well as text, because diagnostics name the file.
+    The lock spans the compile, so two threads that miss together compile
+    once; a text that fails to compile is not cached and raises again.
+    """
+    key = _digest(filename, text)
+    with _TEMPLATE_CACHE_LOCK:
+        template = _TEMPLATE_CACHE.get(key)
+        if template is None:
+            template = compile_template(text, filename)
+            _TEMPLATE_CACHE[key] = template
+            if len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_LIMIT:
+                _TEMPLATE_CACHE.popitem(last=False)
+    return template
+
+
 @dataclass(frozen=True)
 class SpecSource:
     """A picklable recipe for building a fresh :class:`Specification`.
@@ -602,6 +634,10 @@ class SpecSource:
     cross is the recipe — an ``.estelle`` file path, inline Estelle text, or
     a dotted reference to an importable factory — and every process that
     needs the specification rebuilds it deterministically from the recipe.
+
+    Within a process an Estelle text is lowered once
+    (:func:`estelle_template`); every build is a fresh instance of the same
+    lowered classes, so per-class artefacts are compiled once too.
 
     ``kwargs`` is stored as a sorted tuple of pairs so sources hash and
     compare by value.
@@ -629,16 +665,26 @@ class SpecSource:
             )
         return cls(kind="factory", payload=reference, kwargs=tuple(sorted(kwargs.items())))
 
-    def build(self) -> Specification:
-        """Build (and validate) a fresh specification from the recipe."""
+    def load(self) -> Tuple[str, Optional[Tuple[str, str]]]:
+        """This source's content key and, for an Estelle source, the
+        ``(text, filename)`` the key was computed from (``None`` for a
+        factory).  A file is read once per call, so an edited file
+        recompiles; an Estelle source is keyed by its text alone, so a path
+        and the equivalent inline text share one key."""
         if self.kind == "estelle-file":
-            from ..estelle.frontend import compile_file
+            estelle = (Path(self.payload).read_text(), self.payload)
+        elif self.kind == "estelle-text":
+            estelle = (self.payload, dict(self.kwargs).get("filename", "<estelle>"))
+        else:
+            return _digest(self.kind, self.payload, repr(self.kwargs)), None
+        return _digest("estelle", estelle[0]), estelle
 
-            return compile_file(self.payload)
-        if self.kind == "estelle-text":
-            from ..estelle.frontend import compile_source
-
-            return compile_source(self.payload, **dict(self.kwargs))
+    def build(self) -> Specification:
+        """A fresh, validated specification from the recipe: an instance of
+        the text's once-lowered template, or a factory's (rebuilt) result."""
+        _, estelle = self.load()
+        if estelle is not None:
+            return estelle_template(*estelle).instantiate()
         if self.kind == "factory":
             module_name, _, attribute = self.payload.partition(":")
             factory = getattr(importlib.import_module(module_name), attribute)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ...estelle.frontend import compile_file
 from ...sim.machine import Cluster, Machine
 from ..executor import SpecSource, backend_by_name
 from ..mapping import GroupedMapping
@@ -26,9 +25,9 @@ from .trace import canonical_trace_bytes, trace_diff
 from .transport import transport_names
 
 
-def cluster_from_placements(spec_path: str, processors: int) -> Cluster:
+def cluster_from_placements(source: SpecSource, processors: int) -> Cluster:
     """One machine per distinct placement location of the specification."""
-    specification = compile_file(spec_path)
+    specification = source.build()
     locations = sorted({p.location for p in specification.placements}) or ["local"]
     cluster = Cluster()
     for location in locations:
@@ -74,7 +73,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     source = SpecSource.from_estelle_file(args.spec)
-    cluster = cluster_from_placements(args.spec, args.processors)
+    cluster = cluster_from_placements(source, args.processors)
 
     results = {}
     for backend_name in ("in-process", "multiprocess"):

@@ -371,7 +371,6 @@ def compile_plan_program(
     specification: Specification,
     scan_cost: float = 0.08,
     overhead: float = 0.15,
-    dispatch: Optional[GeneratedDispatchStrategy] = None,
     with_evaluators: bool = True,
     previous: Optional[FusedPlanProgram] = None,
 ) -> FusedPlanProgram:
@@ -379,9 +378,8 @@ def compile_plan_program(
 
     ``scan_cost`` / ``overhead`` are baked into the generated evaluation code
     as constants (the modelled selection cost mirrors the generated dispatch
-    strategy's).  Passing an existing ``dispatch`` strategy reuses its
-    per-class selector cache — the multiprocess worker and the in-process
-    executor then share one set of compiled selectors per process.
+    strategy's).  The evaluators call each class's one compiled selector
+    (:func:`~repro.runtime.codegen.compile_module_class`).
 
     ``with_evaluators=False`` binds the fused walk only (``shape.evaluate``
     is ``None``) and skips per-class selector compilation entirely — for
@@ -395,19 +393,13 @@ def compile_plan_program(
     ``init``/``release`` marked its own module); only newcomers' slots start
     ``None``.
     """
-    if dispatch is not None:
-        scan_cost = dispatch.scan_cost
-        overhead = dispatch.overhead
     modules = _flatten(specification)
     nodes, classes = _shape_of(modules)
     shape = _shape_for((nodes, scan_cost, overhead, with_evaluators))
     selectors: Tuple[Optional[Callable], ...] = ()
     if with_evaluators:
-        compiled_for = (
-            dispatch.compiled_for if dispatch is not None else compile_module_class
-        )
         selectors = tuple(
-            None if cls.EXTERNAL else compiled_for(cls).select for cls in classes
+            None if cls.EXTERNAL else compile_module_class(cls).select for cls in classes
         )
     survivors = (
         dict(zip(previous.modules, previous.results)) if previous is not None else {}
@@ -562,12 +554,10 @@ class IncrementalRoundPlanner:
 
     def _rebuild(self) -> None:
         previous = self._program
-        generated_dispatch = (
-            self.dispatch if isinstance(self.dispatch, GeneratedDispatchStrategy) else None
-        )
-        if self.fused and generated_dispatch is not None:
+        dispatch = self.dispatch
+        if self.fused and isinstance(dispatch, GeneratedDispatchStrategy):
             program = compile_plan_program(
-                self.specification, dispatch=generated_dispatch, previous=previous
+                self.specification, dispatch.scan_cost, dispatch.overhead, previous=previous
             )
         else:
             # Interpreted re-evaluation (dispatch.select per dirty module):

@@ -27,7 +27,8 @@ Two layers share one request vocabulary:
   ========  ============================== =================================
 
 Errors map to JSON bodies ``{"error": ...}``: 404 for unknown sessions,
-400 for invalid requests, 413 when a declared body exceeds the cap, 429
+400 for invalid requests, 408 (and a closed connection) when a client
+stalls mid-body, 413 when a declared body exceeds the cap, 429
 (+ ``Retry-After``) when the in-flight admission gate sheds a request,
 and 503 (+ ``Retry-After``) when a step exhausts its wall-clock budget.
 The server binds 127.0.0.1 by default — it is a deployment artefact for
@@ -54,9 +55,22 @@ DEFAULT_MAX_BODY_BYTES = 1 << 20
 #: step that ran out of wall-clock budget (503).
 RETRY_AFTER_S = 1
 
+#: Seconds a client may stay silent while sending a declared request body;
+#: past it the request is answered 408 and its connection closed, so a
+#: client that stalls mid-body cannot pin a handler thread.
+BODY_READ_TIMEOUT_S = 10.0
+
+#: How often :meth:`ServeHTTPServer.serve_in_background`'s loop checks for a
+#: shutdown request — the bound on how long ``shutdown()`` waits for it.
+BACKGROUND_POLL_S = 0.02
+
 
 class PayloadTooLarge(ServeError):
     """The request body exceeds the configured cap (HTTP 413)."""
+
+
+class RequestTimeout(ServeError):
+    """The client stopped sending its request body (HTTP 408)."""
 
 
 class Overloaded(ServeError):
@@ -263,7 +277,18 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{limit}-byte limit"
             )
-        return self.rfile.read(length)
+        # Bound the body read only: idle keep-alive waits stay unbounded.
+        previous = self.connection.gettimeout()
+        self.connection.settimeout(BODY_READ_TIMEOUT_S)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            raise RequestTimeout(
+                f"request body not received within {BODY_READ_TIMEOUT_S}s"
+            ) from None
+        self.connection.settimeout(previous)
+        return body
 
     @staticmethod
     def _payload(body: bytes) -> Dict[str, Any]:
@@ -318,6 +343,8 @@ class _Handler(BaseHTTPRequestHandler):
                 headers = {"Retry-After": str(RETRY_AFTER_S)}
             except PayloadTooLarge as exc:
                 status, document = 413, {"error": str(exc)}
+            except RequestTimeout as exc:
+                status, document = 408, {"error": str(exc)}
             except Overloaded as exc:
                 status, document = 429, {"error": str(exc)}
                 headers = {"Retry-After": str(RETRY_AFTER_S)}
@@ -416,7 +443,9 @@ class ServeHTTPServer(ThreadingHTTPServer):
       with 413 before the body is read.  ``None`` disables the cap.
 
     A body within the cap is read before the admission decision, so a shed
-    request leaves its keep-alive connection in sync.
+    request leaves its keep-alive connection in sync.  A client silent for
+    :data:`BODY_READ_TIMEOUT_S` mid-body gets 408 and a closed connection;
+    a stall on the request line or headers is not bounded here.
     """
 
     daemon_threads = True
@@ -445,7 +474,10 @@ class ServeHTTPServer(ThreadingHTTPServer):
 
     def serve_in_background(self) -> threading.Thread:
         thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve-http", daemon=True
+            target=self.serve_forever,
+            args=(BACKGROUND_POLL_S,),
+            name="repro-serve-http",
+            daemon=True,
         )
         thread.start()
         return thread

@@ -58,7 +58,7 @@ from ..estelle.specification import Specification
 from ..faults import FailingSink, FaultPlan, InjectedFault
 from ..obs import Observability
 from ..runtime.executor import SpecSource, SpecificationExecutor
-from ..runtime.planner import plan_code_cache_info
+from ..runtime.planner import PlannerDispatch, plan_code_cache_info
 from ..sim.machine import Cluster, Machine
 from .registry import CompiledSpec, SpecRegistry
 
@@ -369,9 +369,9 @@ class SessionEngine:
 
         The spawn path never recompiles a previously seen Estelle source:
         the registry entry's template instantiates the module tree (O(its
-        size)), and the executor plans through the entry's shared selector
-        cache, so per-class selector compilation also happens at most once
-        per spec.
+        size)), and the executor plans through the selectors stored on the
+        shared module classes, so per-class selector compilation also
+        happens at most once per spec.
         """
         if self._closed:
             raise ServeError("engine is shut down")
@@ -405,7 +405,7 @@ class SessionEngine:
         return SpecificationExecutor(
             specification,
             default_cluster_for(specification),
-            dispatch=entry.planner_dispatch,
+            dispatch=PlannerDispatch(),
             trace=True,
             obs=self.obs,
         )

@@ -7,6 +7,7 @@ that keep a removed argument from drifting back in.
 """
 
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from repro.serve.api import ServeHTTPServer, make_http_server
 from repro.sim import Cluster, Machine
 
 MCAM_SPEC = Path(__file__).parent.parent / "examples" / "specs" / "mcam_core.estelle"
+SRC = Path(__file__).parent.parent / "src"
 
 SHARED_EXECUTE = [
     "self",
@@ -179,3 +181,64 @@ def test_cli_help_lists_no_removed_flag(capsys, main, flags):
         if word.startswith("--")
     }
     assert listed - {"--help"} == flags
+
+
+@pytest.mark.parametrize(
+    "pattern,paths",
+    [
+        # The coordinator and its workers talk over _ControlPlane's pipe lanes
+        # and nothing else.
+        pytest.param(
+            r"ctx\.Queue\(|ctx\.Barrier\(|from queue import",
+            ["repro/runtime/parallel/backend.py", "repro/runtime/parallel/worker.py"],
+            id="one-control-mechanism-in-the-mesh",
+        ),
+        # One coordinator loop over one fold, and mp-queue is one layer.
+        pytest.param(
+            r"_run_barrier_loop|PrecomputedDispatch|class BatchChannel|class ChannelMesh",
+            ["repro/runtime/parallel"],
+            id="one-loop-one-fold-one-wire",
+        ),
+        pytest.param(
+            r"^\s*(import|from)\s+(queue|multiprocessing)\b",
+            ["repro/runtime/parallel/channels.py"],
+            id="channels-reach-for-no-queue",
+        ),
+        # Mesh workers report dirty deltas through the generated selectors;
+        # serve sessions always run the planner.
+        pytest.param(
+            r"dispatch_name|dispatch_kwargs=|DecentralisedScheduler|\.plan_round\(",
+            ["repro/runtime/parallel/worker.py"],
+            id="one-way-to-plan-on-the-mesh",
+        ),
+        pytest.param(r"dispatch_for|default_dispatch", ["repro/serve"], id="one-way-to-plan-in-serve"),
+        pytest.param(
+            r"dispatch_kwargs|start_method|cluster_factory|mapping_factory|autopersist"
+            r"|backend_transport|backend-transport|def (serial|unit)_overhead"
+            r"|def lower_bodies|def parse_file",
+            ["."],
+            id="no-option-without-a-caller",
+        ),
+        # One compiled artefact per specification text: the template cache
+        # behind SpecSource.build() and the selector stored on each class.
+        pytest.param(
+            r"dump_sources|load_dumped_selector|def adopt|def compiled_for|planner_dispatch",
+            ["."],
+            id="one-compiled-artefact",
+        ),
+    ],
+)
+def test_a_removed_mechanism_stays_gone(pattern, paths):
+    """Source scans under ``src/``: each pattern names code that was removed
+    on purpose, and none may match a line of the files it covers."""
+    files = []
+    for path in paths:
+        target = SRC / path
+        files += sorted(target.rglob("*.py")) if target.is_dir() else [target]
+    found = [
+        f"{file.relative_to(SRC)}:{number}: {line.strip()}"
+        for file in files
+        for number, line in enumerate(file.read_text().splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+    assert found == []

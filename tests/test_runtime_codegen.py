@@ -11,10 +11,10 @@ from repro.runtime import (
     compile_module_class,
     compile_specification,
     dispatch_by_name,
-    generated_source,
     run_specification,
 )
 from tests.helpers import build_ping_pong_spec, build_worker_spec, single_machine_cluster
+from tests.test_runtime_executor import COUNTER_TEXT
 
 CH = Channel("C", a={"Msg", "Other"}, b={"Reply"})
 
@@ -128,12 +128,11 @@ class TestGeneratedSelection:
 
 class TestGeneratedArtifacts:
     def test_source_contains_specialized_rows_and_guards(self):
-        source = generated_source(Receiver)
+        compiled = compile_module_class(Receiver)
+        source = compiled.source
         assert "_ROWS" in source
         assert "'Msg'" in source and "'Other'" in source
         assert "_RAW[0]" in source  # the hand-written lambda guard is bound
-        compiled = compile_module_class(Receiver)
-        assert compiled.source == source
         assert set(compiled.rows) == {"idle", "busy", ANY_STATE}
 
     def test_rows_match_table_driven_rows(self):
@@ -156,8 +155,10 @@ class TestGeneratedArtifacts:
         assert "def _select" in program.source()
         pinger_class = type(spec.find("pinger"))
         assert program.artifact_for(pinger_class).module_class is pinger_class
-        # The strategy reuses the cached artifact object.
-        assert program.strategy.compiled_for(pinger_class) is program.artifact_for(pinger_class)
+        # The artifact is the one stored on the class: every later compile,
+        # by any strategy or planner, returns the same object.
+        assert pinger_class.__dict__["_generated_dispatch"] is program.artifact_for(pinger_class)
+        assert compile_module_class(pinger_class) is program.artifact_for(pinger_class)
 
 
 class TestGeneratedOnFullRuns:
@@ -233,80 +234,48 @@ class TestFactoryRegistration:
         assert "generated" in str(excinfo.value)
 
 
-class TestDumpedSources:
-    """``dump_sources`` / ``load_dumped_selector``: the AOT round trip."""
+@pytest.fixture()
+def selector_compiles(monkeypatch):
+    """The classes a selector is generated for, one entry per generation."""
+    from repro.runtime import codegen
 
-    def _program(self):
-        from repro.estelle.frontend import compile_file
-        from pathlib import Path
+    compiled = []
+    real_state_rows = codegen.state_rows
 
-        spec_path = Path(__file__).parent.parent / "examples" / "specs" / "mcam_core.estelle"
-        spec = compile_file(spec_path)
-        return spec, compile_specification(spec)
+    def recording_state_rows(module_class):
+        compiled.append(module_class)
+        return real_state_rows(module_class)
 
-    def test_dump_writes_one_file_per_class_plus_manifest(self, tmp_path):
-        import json
+    monkeypatch.setattr(codegen, "state_rows", recording_state_rows)
+    return compiled
 
-        _, program = self._program()
-        written = program.dump_sources(tmp_path / "generated")
-        names = sorted(p.name for p in written)
-        assert "MANIFEST.json" in names
-        assert "McamClientBody_dispatch.py" in names
-        assert "McamServerBody_dispatch.py" in names
-        manifest = json.loads((tmp_path / "generated" / "MANIFEST.json").read_text())
-        assert manifest["specification"] == "mcam_core"
-        assert set(manifest["artifacts"]) == {"McamClientBody", "McamServerBody"}
-        # The dumped file carries the exact generated source after its header.
-        dumped = (tmp_path / "generated" / "McamClientBody_dispatch.py").read_text()
-        assert program.artifacts["McamClientBody"].source in dumped
 
-    def test_loaded_selector_selects_identically(self, tmp_path):
-        from repro.runtime.codegen import load_dumped_selector
+class TestOneSelectorPerClass:
+    """A selector is compiled once per module class and stored on it."""
 
-        spec, program = self._program()
-        program.dump_sources(tmp_path)
-        client = spec.find("client")
-        loaded = load_dumped_selector(
-            tmp_path / "McamClientBody_dispatch.py", type(client)
-        )
-        fresh = program.artifacts["McamClientBody"]
-        # Walk the client through its whole protocol via the loaded selector,
-        # cross-checking the freshly generated one at every step.
-        server = spec.find("server")
-        for _ in range(30):
-            chosen_loaded, examined_loaded = loaded.select(client)
-            chosen_fresh, examined_fresh = fresh.select(client)
-            assert chosen_loaded is chosen_fresh
-            assert examined_loaded == examined_fresh
-            progressed = False
-            if chosen_loaded is not None:
-                chosen_loaded.fire(client)
-                progressed = True
-            enabled_server = server.enabled_transitions()
-            if enabled_server:
-                enabled_server[0].fire(server)
-                progressed = True
-            if not progressed:
-                break
-        assert client.state == "done"
+    def test_compiled_once_across_strategies_and_sessions(self, selector_compiles):
+        from repro.runtime import PlannerDispatch, SpecSource
+        from repro.serve import SessionEngine
 
-    def test_adopted_artifact_used_without_regeneration(self, tmp_path):
-        from repro.runtime.codegen import load_dumped_selector
+        source = SpecSource.from_estelle_text(COUNTER_TEXT, filename="<one selector per class>")
+        body_class = type(source.build().find("m"))
+        for strategy in (GeneratedDispatchStrategy(), PlannerDispatch()):
+            assert strategy.select(source.build().find("m")).transition.name == "tick"
+        with SessionEngine() as engine:
+            for _ in range(2):
+                health = engine.run_to_quiescence(engine.create_session(source))
+                assert health["transitions_fired"] == 4
+        assert selector_compiles == [body_class]
 
-        spec, program = self._program()
-        program.dump_sources(tmp_path)
-        client_class = type(spec.find("client"))
-        loaded = load_dumped_selector(
-            tmp_path / "McamClientBody_dispatch.py", client_class
-        )
-        strategy = GeneratedDispatchStrategy()
-        strategy.adopt(loaded)
-        assert strategy.compiled_for(client_class) is loaded
+    def test_a_subclass_gets_its_own_selector(self):
+        class BusyReceiver(Receiver):
+            @transition(from_state="busy", when=("port", "Msg"), cost=1.0)
+            def again(self, interaction):
+                pass
 
-    def test_load_rejects_file_without_selector(self, tmp_path):
-        from repro.runtime.codegen import load_dumped_selector
-
-        bogus = tmp_path / "empty_dispatch.py"
-        bogus.write_text("x = 1\n")
-        with pytest.raises(ValueError, match="does not define"):
-            load_dumped_selector(bogus, Receiver)
+        parent = compile_module_class(Receiver)
+        child = compile_module_class(BusyReceiver)
+        assert child is not parent and child.module_class is BusyReceiver
+        assert "'again'" in child.source and "'again'" not in parent.source
+        assert compile_module_class(BusyReceiver) is child
+        assert compile_module_class(Receiver) is parent

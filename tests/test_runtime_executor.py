@@ -3,16 +3,20 @@
 import pytest
 
 from repro.estelle import Channel, Module, ModuleAttribute, Specification, ip, transition
+from repro.estelle.frontend import EstelleSemanticError, EstelleSyntaxError, compile_source
 from repro.runtime import (
     CentralisedScheduler,
     DecentralisedScheduler,
     GroupedMapping,
+    InProcessBackend,
     SequentialMapping,
+    SpecSource,
     SpecificationExecutor,
     TableDrivenDispatch,
     ThreadPerModuleMapping,
     run_specification,
 )
+from repro.runtime.parallel.trace import canonical_trace_bytes
 from repro.sim import Cluster, CostModel, Machine
 from tests.helpers import (
     Pinger,
@@ -439,3 +443,102 @@ class TestDynamicUnitLeak:
         assert "churn/mgr/w1" in executor._dynamic_unit  # child really tracked
         executor.run(max_rounds=2, stop_when_quiescent=False)  # wait; reap w1
         assert "churn/mgr/w1" not in executor._dynamic_unit
+
+
+COUNTER_TEXT = (
+    "specification counter;\nmodule M systemprocess;\nend;\n"
+    "body B for M;\n  state run, halt;\n"
+    "  initialize to run begin n := 0 end;\n"
+    "  trans from run provided n < 3 name tick begin n := n + 1 end;\n"
+    "  trans from run to halt provided n >= 3 name stop begin end;\n"
+    "end;\nmodvar m : B at 'm1';\nend."
+)
+
+
+@pytest.fixture()
+def front_end_runs(monkeypatch):
+    """The filename of every front-end run (``parse_source`` as the template
+    cache reaches it, through ``compile_template``)."""
+    import repro.estelle.frontend as frontend
+
+    runs = []
+    real_parse_source = frontend.parse_source
+
+    def recording_parse_source(text, filename="<estelle>"):
+        runs.append(filename)
+        return real_parse_source(text, filename)
+
+    monkeypatch.setattr(frontend, "parse_source", recording_parse_source)
+    return runs
+
+
+def canonical_run(specification):
+    _, executor = run_specification(specification, single_machine_cluster(), trace=True)
+    return canonical_trace_bytes(executor.trace)
+
+
+class TestOneCompiledArtefact:
+    """``SpecSource.build()`` lowers each text once per process.  Every test
+    here uses a filename no other test builds, since the cache is shared."""
+
+    def test_builds_of_one_text_run_the_front_end_once(self, front_end_runs):
+        filename = "<many builds of one text>"
+        source = SpecSource.from_estelle_text(COUNTER_TEXT, filename=filename)
+        specs = [source.build() for _ in range(5)]
+        assert front_end_runs == [filename]
+        assert len({id(spec.find("m")) for spec in specs}) == 5
+        assert len({type(spec.find("m")) for spec in specs}) == 1
+        # Run one tree to the end and poke another: the next build is as fresh
+        # as a front-end run of its own.
+        canonical_run(specs[0])
+        specs[1].find("m").variables["n"] = 99
+        specs[1].find("m").state = "halt"
+        expected = canonical_run(compile_source(COUNTER_TEXT, filename=filename))
+        assert canonical_run(source.build()) == expected
+        assert expected.count(b"tick") == 3
+
+    def test_an_edited_file_recompiles(self, tmp_path, front_end_runs):
+        path = tmp_path / "edited.estelle"
+        path.write_text(COUNTER_TEXT)
+        source = SpecSource.from_estelle_file(path)
+        assert source.build().name == source.build().name == "counter"
+        path.write_text(COUNTER_TEXT.replace("specification counter;", "specification edited;"))
+        assert source.build().name == "edited"
+        assert front_end_runs == [str(path), str(path)]
+
+    def test_a_broken_text_raises_its_located_error_on_every_build(self, front_end_runs):
+        source = SpecSource.from_estelle_text("specification broken; module", filename="broken.estelle")
+        errors = []
+        for _ in range(2):
+            with pytest.raises(EstelleSyntaxError) as raised:
+                source.build()
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] and errors[0].startswith("broken.estelle:line 1")
+        assert front_end_runs == ["broken.estelle", "broken.estelle"]
+
+    def test_texts_differing_only_in_filename_keep_their_own_diagnostics(self):
+        text = COUNTER_TEXT.replace("provided n < 3", "provided missing_var < 3")
+        for filename in ("first.estelle", "second.estelle"):
+            module = SpecSource.from_estelle_text(text, filename=filename).build().find("m")
+            with pytest.raises(EstelleSemanticError) as raised:
+                TableDrivenDispatch().select(module)
+            assert str(raised.value).startswith(f"{filename}:line 7")
+
+    def test_an_engine_after_an_in_process_run_compiles_nothing(self, front_end_runs):
+        """The ruler's order: in-process executor runs, then a fresh engine
+        whose registry must still report one compile for the text."""
+        from repro.serve import SessionEngine
+
+        filename = "<in-process run, then an engine>"
+        source = SpecSource.from_estelle_text(COUNTER_TEXT, filename=filename)
+        for _ in range(2):
+            result = InProcessBackend().execute(
+                source, single_machine_cluster(), mapping=GroupedMapping(), dispatch="planner"
+            )
+            assert result.transitions_fired == 4
+        with SessionEngine() as engine:
+            for _ in range(2):
+                engine.create_session(source)
+            (entry,) = engine.registry.stats()["specs"]
+        assert entry["compile_count"] == 1 and entry["instantiations"] == 2
+        assert front_end_runs == [filename]

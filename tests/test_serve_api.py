@@ -13,6 +13,7 @@ import http.client
 import json
 import socket
 import statistics
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.serve import ServeError, SessionEngine
+from repro.serve import api as api_module
 from repro.serve.api import ServeAPI, make_http_server
 from tests.test_serve_engine import ECHO_SPEC
 
@@ -407,3 +409,51 @@ class TestKeepAlive:
             finally:
                 client.close()
                 stalled.close()
+
+
+class TestBackgroundServer:
+    def test_shutdown_returns_promptly(self):
+        server = make_http_server(port=0)
+        server.serve_in_background()
+        try:
+            assert request(server, "GET", "/healthz")[0] == 200
+            started = time.perf_counter()
+            server.shutdown()
+            assert time.perf_counter() - started < 0.1
+        finally:
+            server.api.engine.shutdown()
+            server.server_close()
+
+    def test_a_stalled_body_is_answered_408_and_frees_its_thread(self, monkeypatch):
+        """Clients that stop mid-body used to hold a handler thread each until
+        they hung up.  A stall on the request line or the headers is still
+        unbounded: only the body read has a timeout."""
+        monkeypatch.setattr(api_module, "BODY_READ_TIMEOUT_S", 0.2)
+        with serving() as server:
+            baseline = threading.active_count()
+            stalled = [
+                socket.create_connection(("127.0.0.1", server.port), timeout=10)
+                for _ in range(5)
+            ]
+            try:
+                for connection in stalled:
+                    connection.sendall(
+                        b"POST /sessions HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+                        b'{"spec'
+                    )
+                for connection in stalled:
+                    reply = connection.recv(4096)
+                    assert reply == b"" or reply.startswith(b"HTTP/1.1 408"), reply
+                    # The server closed its end: nothing follows the reply.
+                    while reply:
+                        reply = connection.recv(4096)
+                deadline = time.monotonic() + 5
+                while threading.active_count() > baseline and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert threading.active_count() == baseline
+                status, created = request(server, "POST", "/sessions", {"spec_text": ECHO_SPEC})
+                assert status == 201, created
+            finally:
+                for connection in stalled:
+                    connection.close()

@@ -4,7 +4,7 @@ Covers the two new layers beneath the ingress API:
 
 * :mod:`repro.serve.registry` — one front-end compile per distinct source
   (keyed by content, so a file path and the equivalent inline text share an
-  entry), shared dispatch strategy instances, honest factory accounting;
+  entry), one selector per module class, honest factory accounting;
 * :mod:`repro.serve.engine` — session create/inject/step/stream/close with
   per-session executors and clocks, fan-out stepping, limits, stats and
   clean shutdown.
@@ -111,8 +111,6 @@ class TestRegistryCompileOnce:
         from two, so a file rewritten in between was filed under the first
         text and compiled from the second — and every later ``get()`` of the
         first text was served the wrong protocol."""
-        from repro.serve import registry as registry_module
-
         path = tmp_path / "echo.estelle"
         path.write_text(ECHO_SPEC)
         rewritten = ECHO_SPEC.replace("specification echo;", "specification other;")
@@ -125,15 +123,17 @@ class TestRegistryCompileOnce:
             reads.append(self)
             return ECHO_SPEC if len(reads) == 1 else rewritten
 
+        from repro.runtime import executor as compile_point
+
         compiled = []
-        real_compile = registry_module.compile_template
+        real_compile = compile_point.compile_template
 
         def recording_compile(text, filename):
             compiled.append(text)
             return real_compile(text, filename)
 
         monkeypatch.setattr(Path, "read_text", rewritten_after_every_read)
-        monkeypatch.setattr(registry_module, "compile_template", recording_compile)
+        monkeypatch.setattr(compile_point, "compile_template", recording_compile)
         registry = SpecRegistry()
         entry = registry.get(SpecSource.from_estelle_file(path))
         assert len(reads) == 1
@@ -151,18 +151,21 @@ class TestRegistryCompileOnce:
         entry.instantiate()
         assert entry.compile_count == 2
 
-    def test_sessions_of_an_entry_share_one_planner_dispatch(self):
+    def test_sessions_of_an_entry_share_one_selector_per_class(self):
+        from repro.runtime import compile_module_class
+
+        def selectors(engine):
+            executor = engine._session(engine.create_session(mcam_source())).executor
+            program = executor.planner.program
+            return program.selectors, {type(module) for module in program.modules}
+
         with SessionEngine() as engine:
-            first = engine.create_session(mcam_source())
-            second = engine.create_session(mcam_source())
-            (entry,) = engine.registry._entries.values()
-            for sid in (first, second):
-                executor = engine._session(sid).executor
-                assert executor.dispatch is entry.planner_dispatch
-                assert executor.planner is not None
-        assert SpecRegistry().get(mcam_source()).planner_dispatch is not (
-            entry.planner_dispatch
-        )
+            (first, classes), (second, _) = selectors(engine), selectors(engine)
+        assert first and first == second
+        assert {compile_module_class(cls).select for cls in classes} == set(first)
+        # The selectors live on the classes, not on the entry or the engine.
+        with SessionEngine() as other:
+            assert selectors(other)[0] == first
 
     def test_stats_shape(self):
         registry = SpecRegistry()

@@ -2,8 +2,8 @@
 
 The service's core promise is that hosting does not change semantics: a
 spec instance stepped in timeslices, interleaved with many other sessions
-on one engine (shared compiled templates, one shared selector cache per
-entry, shared planner code objects, worker-pool fan-out), must produce the
+on one engine (shared compiled templates, one selector per module class,
+shared planner code objects, worker-pool fan-out), must produce the
 *byte-identical canonical trace* of the same spec run alone, sequentially,
 to quiescence — by the plain in-process executor under the interpreted
 ``table-driven`` walk, the repo's reference oracle (sessions plan one way,
