@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Run every ``bench_*.py`` in smoke mode and consolidate ``BENCH_results.json``.
+"""Smoke-run the wall-clock ``bench_*.py`` files and consolidate ``BENCH_results.json``.
 
 Each benchmark file is executed through pytest with the timing machinery
-disabled (``--benchmark-disable``) — the assertions about the reproduced
-claims still run, so this is the cheap gate CI uses.  The consolidated
+disabled (``--benchmark-disable``) — their equivalence and wall-clock gates
+still run, so this is the cheap gate CI uses.  The paper's claims (Figs. 1-3,
+Table 1, E1-E6 and E8) are not here: they are simulated-time checks, and
+tier-1 runs them in ``tests/test_paper_claims.py``.  The consolidated
 results file accumulates one entry per invocation (newest first, bounded
 history), so the repository carries its own perf trajectory:
 
 * per-benchmark pass/fail status and wall-clock duration,
-* the E4 dispatch-selection cost sweep (hard-coded / table-driven /
-  generated), including the headline check that the generated strategy is
-  at least as fast as the table-driven one,
 * the E-PAR parallel-backend record: the multiprocess backend's *measured*
   wall-clock speedup on the OSI transfer workload next to the cost model's
   *predicted* speedup (with a ``comparable`` honesty flag for undersized
@@ -139,18 +138,6 @@ def _round_floats(mapping: dict) -> dict:
     }
 
 
-def dispatch_selection_results() -> dict:
-    """The E4 cost sweep, recorded so the perf trajectory is diffable."""
-    module = _load_bench_module("bench_transition_dispatch")
-    rows = [_round_floats(row) for row in module.dispatch_cost_sweep()]
-    return {
-        "sweep": rows,
-        "generated_at_most_table_driven": all(
-            row["generated"] <= row["table-driven"] for row in rows
-        ),
-    }
-
-
 def parallel_backend_results() -> dict:
     """E-PAR: measured multiprocess speedup next to the model's prediction,
     plus the full trace-equivalence matrix."""
@@ -253,7 +240,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "mode": "smoke",
         "benchmarks": results,
-        "dispatch_selection": dispatch_selection_results(),
         "parallel_backend": parallel_backend_results(),
         "round_planner": round_planner_results(),
         "delay_round": delay_round_results(),
@@ -271,9 +257,6 @@ def main(argv=None) -> int:
           f"results in {args.output}")
     if failed:
         print("failed:", ", ".join(failed))
-        return 1
-    if not run_entry["dispatch_selection"]["generated_at_most_table_driven"]:
-        print("regression: generated dispatch slower than table-driven")
         return 1
     parallel = run_entry["parallel_backend"]
     if not parallel["traces_identical"]:

@@ -172,7 +172,9 @@ _PY_BINOPS = {
 }
 
 
-def expr_to_python(expr: ast.Expr, bound: Optional[Dict[str, str]] = None) -> str:
+def expr_to_python(
+    expr: ast.Expr, bound: Optional[Dict[str, str]] = None, depth: int = 0
+) -> str:
     """Translate an expression AST to Python source over ``_v`` and ``_i``.
 
     ``_v`` is the module's variable dict, ``_i`` the matched interaction.
@@ -180,6 +182,10 @@ def expr_to_python(expr: ast.Expr, bound: Optional[Dict[str, str]] = None) -> st
     from the AST rather than re-encoded.  ``bound`` maps quantifier-bound
     Estelle variable names to the Python comprehension variables that carry
     them (quantified bodies shadow module variables of the same name).
+    ``depth`` is the number of enclosing quantifiers: a quantifier's
+    comprehension variable is ``_q<depth>``, so it is a valid Python name
+    whatever the Estelle name, and distinct from every enclosing one even
+    when a body rebinds an outer name.
     """
     if isinstance(expr, ast.Literal):
         return repr(expr.value)
@@ -190,20 +196,20 @@ def expr_to_python(expr: ast.Expr, bound: Optional[Dict[str, str]] = None) -> st
     if isinstance(expr, ast.ParamRef):
         return f"_i.params.get({expr.param!r})"
     if isinstance(expr, ast.Quantified):
-        var = f"_q{len(bound) if bound else 0}_{expr.var}"
+        var = f"_q{depth}"
         scope = dict(bound) if bound else {}
         scope[expr.var] = var
-        low = expr_to_python(expr.low, bound)
-        high = expr_to_python(expr.high, bound)
-        body = expr_to_python(expr.body, scope)
+        low = expr_to_python(expr.low, bound, depth)
+        high = expr_to_python(expr.high, bound, depth)
+        body = expr_to_python(expr.body, scope, depth + 1)
         reducer = "any" if expr.kind == "exist" else "all"
         return f"{reducer}(({body}) for {var} in _qrange(({low}), ({high})))"
     if isinstance(expr, ast.Unary):
-        inner = expr_to_python(expr.operand, bound)
+        inner = expr_to_python(expr.operand, bound, depth)
         return f"(not {inner})" if expr.op == "not" else f"(-{inner})"
     if isinstance(expr, ast.Binary):
-        left = expr_to_python(expr.left, bound)
-        right = expr_to_python(expr.right, bound)
+        left = expr_to_python(expr.left, bound, depth)
+        right = expr_to_python(expr.right, bound, depth)
         return f"({left} {_PY_BINOPS[expr.op]} {right})"
     raise EstelleSemanticError(f"unsupported expression node {type(expr).__name__}", expr.loc)
 

@@ -1,9 +1,9 @@
 """Benchmark harness helpers: result tables and experiment records.
 
-Every benchmark in ``benchmarks/`` regenerates one table or figure of the
-paper; the helpers here render the regenerated rows/series in a uniform way so
-the console output of ``pytest benchmarks/ --benchmark-only`` can be compared
-side-by-side with the paper (see EXPERIMENTS.md).
+The benchmarks in ``benchmarks/`` and two examples print their rows through
+these helpers in one uniform table layout.  The paper's own tables and
+figures are checked, not printed: ``tests/test_paper_claims.py`` holds one
+test per claim.
 """
 
 from .report import ExperimentRecord, format_table, print_experiment

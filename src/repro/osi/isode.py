@@ -26,7 +26,7 @@ stack carried MCAM's connect data.
 Because the whole lower stack collapses into one hand-written module, the
 per-operation cost is lower than traversing the generated presentation and
 session modules — which is precisely the generated-vs-hand-coded comparison
-(experiment E6 in DESIGN.md).
+(E6 in ``tests/test_paper_claims.py``).
 """
 
 from __future__ import annotations

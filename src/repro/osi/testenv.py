@@ -12,7 +12,7 @@ initiator stack and a responder stack (each a ``systemprocess`` containing one
 subtree per connection with application / presentation / session modules) and
 a transport-pipe system module in between.  The number of connections, the
 number of Data requests per connection and the P-Data unit size are the sweep
-parameters of the speedup experiment (benchmark E1 in DESIGN.md).
+parameters of the speedup experiment (E1 in ``tests/test_paper_claims.py``).
 """
 
 from __future__ import annotations

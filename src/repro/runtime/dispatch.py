@@ -16,11 +16,11 @@ charge the cost to the right execution unit and the benchmark can reproduce
 the crossover around four transitions.
 
 Which strategy runs is a choice the *in-process* executor offers — there the
-comparison is measured (E4 ``bench_transition_dispatch``, E5
-``bench_scheduler_overhead``) and the interpreted strategies are the
-reference oracle of the tests and the fuzzer.  The multiprocess mesh and the
-serve sessions offer no such choice: they plan through the generated
-selectors and the planner (:mod:`repro.runtime.planner`) only.
+comparison is measured (E4 and E5 in ``tests/test_paper_claims.py``) and the
+interpreted strategies are the reference oracle of the tests and the fuzzer.
+The multiprocess mesh and the serve sessions offer no such choice: they plan
+through the generated selectors and the planner (:mod:`repro.runtime.planner`)
+only.
 """
 
 from __future__ import annotations

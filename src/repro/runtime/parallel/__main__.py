@@ -17,22 +17,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ...sim.machine import Cluster, Machine
+from ...sim.machine import cluster_from_placements
 from ..executor import SpecSource, backend_by_name
 from ..mapping import GroupedMapping
 from .backend import MultiprocessBackend
 from .trace import canonical_trace_bytes, trace_diff
 from .transport import transport_names
-
-
-def cluster_from_placements(source: SpecSource, processors: int) -> Cluster:
-    """One machine per distinct placement location of the specification."""
-    specification = source.build()
-    locations = sorted({p.location for p in specification.placements}) or ["local"]
-    cluster = Cluster()
-    for location in locations:
-        cluster.add(Machine(location, processors))
-    return cluster
 
 
 def main(argv=None) -> int:
@@ -73,7 +63,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     source = SpecSource.from_estelle_file(args.spec)
-    cluster = cluster_from_placements(source, args.processors)
+    cluster = cluster_from_placements(source.build(), args.processors)
 
     results = {}
     for backend_name in ("in-process", "multiprocess"):

@@ -54,12 +54,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..estelle.errors import EstelleError
 from ..estelle.interaction import Interaction
-from ..estelle.specification import Specification
 from ..faults import FailingSink, FaultPlan, InjectedFault
 from ..obs import Observability
 from ..runtime.executor import SpecSource, SpecificationExecutor
 from ..runtime.planner import PlannerDispatch, plan_code_cache_info
-from ..sim.machine import Cluster, Machine
+from ..sim.machine import cluster_from_placements
 from .registry import CompiledSpec, SpecRegistry
 
 #: rounds per executor.run() slice when a step carries a wall-clock budget;
@@ -69,6 +68,10 @@ STEP_SLICE_ROUNDS = 32
 #: threads in the pool :meth:`SessionEngine.step_all` fans out over.  The
 #: HTTP front never touches it — its handler threads call ``step`` directly.
 STEP_POOL_WORKERS = 8
+
+#: processors of each machine in a session's cluster, one machine per
+#: placement location of the spec (see ``cluster_from_placements``).
+SESSION_PROCESSORS = 2
 
 #: on-disk session checkpoint format version.
 CHECKPOINT_VERSION = 1
@@ -103,20 +106,6 @@ class StepTimeout(ServeError):
             f"wall-clock budget after {rounds_completed} rounds "
             "(state is intact at a round boundary; step again to continue)"
         )
-
-
-def default_cluster_for(specification: Specification) -> Cluster:
-    """A cluster with one 2-processor machine per placement location.
-
-    Mirrors the clusters the benchmarks build by hand: every location named
-    in the spec's placement comments becomes a machine, so any ``.estelle``
-    source runs without the caller having to know its topology.
-    """
-    cluster = Cluster()
-    locations = {placement.location for placement in specification.placements}
-    for location in sorted(locations) or ["local"]:
-        cluster.add(Machine(location, 2))
-    return cluster
 
 
 class Session:
@@ -400,11 +389,12 @@ class SessionEngine:
     def _executor_for(self, entry: CompiledSpec) -> SpecificationExecutor:
         """A fresh instance of ``entry`` under the planner — the one way a
         session plans (hard-coded against table-driven selection is the
-        in-process benches' comparison, not a service option)."""
+        in-process executor's comparison, E4 and E6 of
+        ``tests/test_paper_claims.py``, not a service option)."""
         specification = entry.instantiate()
         return SpecificationExecutor(
             specification,
-            default_cluster_for(specification),
+            cluster_from_placements(specification, SESSION_PROCESSORS),
             dispatch=PlannerDispatch(),
             trace=True,
             obs=self.obs,

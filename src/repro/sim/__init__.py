@@ -3,7 +3,7 @@
 This package stands in for the paper's hardware and operating-system
 environment — the 32-processor KSR1 under OSF/1, the Sun/DEC client
 workstations and the FDDI campus network — with explicit, tunable cost
-models.  See DESIGN.md, Section 2 (substitutions) for the rationale.
+models.  :mod:`repro.sim.machine` gives the cost model's rationale.
 """
 
 from .engine import EventHandle, EventScheduler

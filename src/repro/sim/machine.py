@@ -36,7 +36,7 @@ class CostModel:
         default of 3x the baseline transition cost is calibrated so that the
         Section 5.1 experiment (two connections, tiny P-Data units, kernel
         layers only) lands in the paper's reported 1.4-2.0 speedup band; see
-        EXPERIMENTS.md.
+        E1 in ``tests/test_paper_claims.py``.
     intra_unit_message_cost:
         Cost of passing an interaction between modules that share a unit
         (a queue append without locking); normally much smaller than
@@ -171,6 +171,17 @@ class Cluster:
     def reset(self) -> None:
         for machine in self._machines.values():
             machine.reset()
+
+
+def cluster_from_placements(specification, processors: int) -> Cluster:
+    """One ``processors``-way machine per distinct placement location of
+    ``specification`` (a lone ``"local"`` machine when it names none), so
+    any ``.estelle`` source runs without the caller knowing its topology."""
+    cluster = Cluster()
+    locations = {placement.location for placement in specification.placements}
+    for location in sorted(locations) or ["local"]:
+        cluster.add(Machine(location, processors))
+    return cluster
 
 
 def paper_environment(

@@ -513,6 +513,45 @@ class TestQuantifiers:
             chosen_g.fire(module_g)
             assert module_i.variables == module_g.variables
 
+    def test_non_identifier_bound_name_runs_under_every_strategy(self):
+        """Regression: the lexer accepts any ``isalnum()`` name, so ``i²`` is
+        a legal bound variable; the generated guard once pasted it into its
+        Python source and raised a bare SyntaxError under generated/planner."""
+        from repro.runtime import InProcessBackend, SpecSource
+        from repro.runtime.parallel import canonical_trace_bytes
+        from repro.sim.machine import cluster_from_placements
+
+        text = self.COUNTER_SRC.replace(" i ", " i² ").replace(" i\n", " i²\n")
+        assert text.count("i²") == 4
+        source = SpecSource.from_estelle_text(text)
+        cluster = cluster_from_placements(source.build(), 1)
+        traces = {
+            dispatch: canonical_trace_bytes(
+                InProcessBackend().execute(source, cluster, dispatch=dispatch).trace
+            )
+            for dispatch in ("table-driven", "generated", "planner")
+        }
+        assert traces["table-driven"].count(b"tick") == 3
+        assert traces["generated"] == traces["planner"] == traces["table-driven"]
+
+    def test_rebound_name_gets_its_own_comprehension_variable(self):
+        """The inner ``j`` must not share a Python variable with the middle
+        ``i``, which rebinds the outer one: correct scoping reads 2 + 3."""
+        from repro.runtime.codegen import compile_module_class
+
+        module = compile_source(
+            "specification q;\nmodule M systemprocess;\nend;\n"
+            "body B for M;\n  state s;\n"
+            "  trans from s name nested\n"
+            "    provided exist i : 1 .. 1 suchthat exist i : 2 .. 2 suchthat\n"
+            "      exist j : 3 .. 3 suchthat i + j = 5\n"
+            "    begin a := 1 end;\nend;\nmodvar m : B at 'x';\nend."
+        ).find("m")
+        (declared,) = type(module).declared_transitions()
+        compiled = compile_module_class(type(module))
+        assert declared.enabled(module)
+        assert compiled.select(module)[0].name == declared.name
+
     def test_bool_bound_diverges_nowhere_between_strategies(self):
         """Regression: bool bounds (e.g. 'provided exist i : (x = 1) .. 3')
         must raise the located diagnostic under the *generated* guard too —

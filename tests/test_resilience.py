@@ -338,7 +338,8 @@ class TestEnginePersistence:
         stayed 1: a document a table-driven session wrote before that —
         ``"dispatch"`` key and all — must load, the key ignored, and resume
         to the byte-identical suffix; a newly written one has no such key."""
-        from repro.serve.engine import CHECKPOINT_VERSION, default_cluster_for
+        from repro.serve.engine import CHECKPOINT_VERSION, SESSION_PROCESSORS
+        from repro.sim.machine import cluster_from_placements
 
         source = SpecSource.from_estelle_file(MCAM_SPEC)
 
@@ -346,7 +347,7 @@ class TestEnginePersistence:
             specification = source.build()
             return SpecificationExecutor(
                 specification,
-                default_cluster_for(specification),
+                cluster_from_placements(specification, SESSION_PROCESSORS),
                 dispatch=dispatch_by_name("table-driven"),
                 trace=True,
             )

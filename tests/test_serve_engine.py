@@ -21,8 +21,9 @@ from repro.serve import (
     SessionUnknown,
     SpecRegistry,
 )
-from repro.serve.engine import default_cluster_for
+from repro.serve.engine import SESSION_PROCESSORS
 from repro.serve.registry import source_key
+from repro.sim.machine import cluster_from_placements
 
 MCAM_SPEC = Path(__file__).parent.parent / "examples" / "specs" / "mcam_sessions.estelle"
 
@@ -181,14 +182,14 @@ class TestRegistryCompileOnce:
 class TestDefaultCluster:
     def test_one_machine_per_placement_location(self):
         spec = mcam_source().build()
-        cluster = default_cluster_for(spec)
+        cluster = cluster_from_placements(spec, SESSION_PROCESSORS)
         names = sorted(machine.name for machine in cluster.machines())
         assert names == ["client-ws-1", "client-ws-2", "ksr1"]
 
     def test_placement_free_spec_gets_local_machine(self):
         from tests.helpers import build_ping_pong_spec
 
-        cluster = default_cluster_for(build_ping_pong_spec(count=1))
+        cluster = cluster_from_placements(build_ping_pong_spec(count=1), SESSION_PROCESSORS)
         assert [machine.name for machine in cluster.machines()] == ["m1"]
 
 

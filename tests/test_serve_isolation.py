@@ -28,7 +28,8 @@ from repro.runtime import SpecificationExecutor, SpecSource, TableDrivenDispatch
 from repro.runtime.parallel import trace_diff
 from repro.runtime.parallel.trace import canonical_trace_bytes
 from repro.serve import SessionEngine
-from repro.serve.engine import default_cluster_for
+from repro.serve.engine import SESSION_PROCESSORS
+from repro.sim.machine import cluster_from_placements
 from tests.fuzzgen import generate_spec_text
 
 ISOLATION_SEEDS = int(os.environ.get("SERVE_ISOLATION_SEEDS", "20"))
@@ -52,7 +53,7 @@ def run_alone(source):
     specification = source.build()
     executor = SpecificationExecutor(
         specification,
-        default_cluster_for(specification),
+        cluster_from_placements(specification, SESSION_PROCESSORS),
         dispatch=TableDrivenDispatch(),
         trace=True,
     )
