@@ -38,7 +38,7 @@ Subpackages
     The paper's core contribution: the MCAM service, PDUs, agents, client and
     server entities, the full Estelle specification and the high-level API.
 ``repro.harness``
-    Workload generation and report helpers for the benchmark suite.
+    Plain-text result tables for the examples.
 """
 
 __version__ = "1.0.0"

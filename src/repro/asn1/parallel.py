@@ -9,9 +9,9 @@ collecting the results.
 This module provides two ways to reproduce that finding:
 
 * :class:`ThreadedBatchCodec` — a real ``ThreadPoolExecutor``-based
-  batch encoder.  Measured wall-clock time (the pytest-benchmark in
-  ``benchmarks/bench_asn1_parallel.py``) shows no speedup over the sequential
-  path, matching the paper.
+  batch encoder.  Its output is byte-identical to the sequential path's, and
+  under the interpreter lock its threads cannot encode in parallel, so it
+  gains nothing, matching the paper.
 * :func:`model_parallel_encoding_time` — an analytic cost model with explicit
   per-item dispatch overhead, used to show *why* the speedup is absent: once
   the per-item coordination cost is of the same order as the per-item encoding

@@ -1,11 +1,11 @@
-"""Benchmark harness helpers: result tables and experiment records.
+"""Report helpers: plain-text result tables.
 
-The benchmarks in ``benchmarks/`` and two examples print their rows through
-these helpers in one uniform table layout.  The paper's own tables and
-figures are checked, not printed: ``tests/test_paper_claims.py`` holds one
-test per claim.
+Two examples (``parallel_mapping_study.py``, ``video_on_demand.py``) print
+their rows through :func:`format_table`.  The paper's own tables and figures
+are checked, not printed: ``tests/test_paper_claims.py`` holds one test per
+claim, and wall-clock timings are the ruler's (``benchmarks/ruler/``).
 """
 
-from .report import ExperimentRecord, format_table, print_experiment
+from .report import format_table
 
-__all__ = ["ExperimentRecord", "format_table", "print_experiment"]
+__all__ = ["format_table"]

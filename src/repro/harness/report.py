@@ -1,9 +1,8 @@
-"""Plain-text experiment reports for the benchmark suite."""
+"""Plain-text result tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 
 def format_table(rows: Sequence[Mapping[str, Any]], columns: Optional[Sequence[str]] = None) -> str:
@@ -30,32 +29,3 @@ def _cell(value: Any) -> str:
         return f"{value:.3f}"
     return str(value)
 
-
-@dataclass
-class ExperimentRecord:
-    """One reproduced experiment: identity, the paper's claim, our measurement."""
-
-    experiment_id: str
-    title: str
-    paper_claim: str
-    rows: List[Dict[str, Any]] = field(default_factory=list)
-    notes: str = ""
-
-    def add_row(self, **values: Any) -> None:
-        self.rows.append(dict(values))
-
-    def render(self) -> str:
-        lines = [
-            f"=== {self.experiment_id}: {self.title} ===",
-            f"paper: {self.paper_claim}",
-            "",
-            format_table(self.rows),
-        ]
-        if self.notes:
-            lines += ["", f"note: {self.notes}"]
-        return "\n".join(lines)
-
-
-def print_experiment(record: ExperimentRecord) -> None:
-    """Print a reproduced experiment (captured by pytest -s / benchmark logs)."""
-    print("\n" + record.render() + "\n")

@@ -17,8 +17,8 @@ The two invariants that make this safe to leave permanently wired in:
   (``tests/test_obs_equivalence.py``).
 * **Near-no-op when disabled** — the default :data:`NULL_OBS` bundle is a
   :class:`NullRegistry` plus a sink-less bus; instrumented hot paths pay
-  attribute loads and empty calls only
-  (``benchmarks/bench_obs_overhead.py``, the ``obs_overhead`` gate).
+  attribute loads and empty calls only (the ruler's
+  ``obs.traced_overhead_ratio`` measures what a live registry costs).
 
 Usage::
 

@@ -12,8 +12,8 @@ vocabulary every layer records into.  Design constraints, in order:
 2. **Near-no-op when disabled.**  The process-wide default is a
    :class:`NullRegistry`, whose instruments are shared do-nothing
    singletons — an instrumented hot path pays one attribute load and one
-   empty method call per record point, nothing else (gated by
-   ``benchmarks/bench_obs_overhead.py``).
+   empty method call per record point, nothing else (measured by the
+   ruler's ``obs.traced_overhead_ratio``).
 3. **Thread safety.**  ``repro.serve`` increments from its ``step_all``
    thread pool; every mutation takes the instrument's lock, every read
    sees a consistent snapshot.

@@ -31,8 +31,9 @@ Sessions are deterministic and isolated: stepping N sessions interleaved
 produces, per session, the byte-identical canonical trace
 (:mod:`repro.runtime.parallel.trace`) that the same session run
 sequentially — or the plain in-process backend — produces.  That property
-joins the repo's equivalence matrix and is gated by tests, the
-``serve-smoke`` CI job and ``benchmarks/bench_serve_load.py``.
+joins the repo's equivalence matrix and is gated by
+``tests/test_serve_isolation.py`` (a fuzz corpus and 1000 live sessions of
+one compiled entry) and the ``serve-smoke`` CI job.
 """
 
 from .engine import (

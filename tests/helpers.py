@@ -17,6 +17,7 @@ from repro.estelle import (
     ip,
     transition,
 )
+from repro.runtime import ConnectionPerProcessorMapping
 from repro.sim import Cluster, CostModel, Machine
 
 PING_PONG = Channel(
@@ -135,3 +136,10 @@ def build_worker_spec(workers: int = 4, steps: int = 5, location: str = "m1") ->
     )
     spec.validate()
     return spec
+
+
+def osi_by_connection() -> ConnectionPerProcessorMapping:
+    """The paper's connection-per-processor mapping on
+    ``examples/specs/osi_transfer.estelle``: its instances name their
+    connection in a ``_c1`` / ``_c2`` suffix."""
+    return ConnectionPerProcessorMapping(key=lambda module: module.name.rsplit("_", 1)[-1])

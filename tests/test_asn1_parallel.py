@@ -30,7 +30,7 @@ class TestBatchCodecs:
         blobs = codec.encode_batch(SCHEMA, values)
         assert codec.decode_batch(SCHEMA, blobs) == values
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_threaded_roundtrip_matches_sequential(self, workers):
         values = sample_values(33)
         sequential = SequentialBatchCodec().encode_batch(SCHEMA, values)

@@ -36,6 +36,7 @@ from repro.runtime.parallel.backend import _relaxable_units
 from repro.runtime.parallel.worker import UnitDescriptor
 from repro.sim import Cluster, Machine
 from tests.fuzzgen import generate_spec_text
+from tests.helpers import osi_by_connection
 from tests.test_dynamic_topology import sessions_cluster, sessions_source
 
 SPEC_DIR = Path(__file__).parent.parent / "examples" / "specs"
@@ -123,11 +124,13 @@ def counter_value(obs: Observability, name: str) -> float:
     return obs.registry.counter(name, "").value
 
 
-def run_relaxed(source, cluster, *, transport="mp-queue", obs=None, **kwargs):
+def run_relaxed(
+    source, cluster, *, transport="mp-queue", obs=None, mapping=None, **kwargs
+):
     return MultiprocessBackend(relax_barrier=True, transport=transport).execute(
         source,
         cluster,
-        mapping=GroupedMapping(),
+        mapping=mapping or GroupedMapping(),
         obs=obs if obs is not None else Observability(),
         **kwargs,
     )
@@ -139,7 +142,8 @@ def assert_byte_identical(reference, relaxed, context: str) -> None:
     assert canonical_trace_bytes(reference.trace) == canonical_trace_bytes(
         relaxed.trace
     ), context
-    assert relaxed.rounds == reference.rounds, context
+    assert relaxed.rounds == reference.rounds > 0, context
+    assert relaxed.workers > 1, context
     assert relaxed.deadlocked == reference.deadlocked, context
     assert relaxed.simulated_time == reference.simulated_time, context
 
@@ -274,17 +278,24 @@ class TestEligibility:
 class TestRelaxedEquivalence:
     """Relaxation on: traces stay byte-identical to the in-process executor."""
 
+    @pytest.mark.parametrize("make_mapping", [GroupedMapping, osi_by_connection])
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_osi_transfer_fully_relaxed(self, transport):
+    def test_osi_transfer_fully_relaxed(self, transport, make_mapping):
         source = SpecSource.from_estelle_file(OSI_SPEC)
         reference = InProcessBackend().execute(
-            source, two_machine_cluster(), mapping=GroupedMapping()
+            source, two_machine_cluster(), mapping=make_mapping()
         )
         obs = Observability()
         relaxed = run_relaxed(
-            source, two_machine_cluster(), transport=transport, obs=obs
+            source,
+            two_machine_cluster(),
+            transport=transport,
+            obs=obs,
+            mapping=make_mapping(),
         )
-        assert_byte_identical(reference, relaxed, f"osi/{transport}")
+        assert_byte_identical(
+            reference, relaxed, f"osi/{transport}/{make_mapping.__name__}"
+        )
         # Every unit wholly owns its (leaf) system root and is delay-free:
         # no unit-round synchronises at the barrier.
         assert counter_value(obs, "repro_parallel_barrier_rounds_total") == 0
@@ -310,22 +321,31 @@ class TestRelaxedEquivalence:
         assert barrier == relaxed.rounds
         assert lookahead == 2 * relaxed.rounds
 
-    def test_mcam_core_relaxed(self):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_mcam_core_relaxed(self, transport):
         source = SpecSource.from_estelle_file(MCAM_SPEC)
         reference = InProcessBackend().execute(
             source, two_machine_cluster(1), mapping=GroupedMapping()
         )
-        relaxed = run_relaxed(source, two_machine_cluster(1))
-        assert_byte_identical(reference, relaxed, "mcam_core")
+        obs = Observability()
+        relaxed = run_relaxed(
+            source, two_machine_cluster(1), transport=transport, obs=obs
+        )
+        assert_byte_identical(reference, relaxed, f"mcam_core/{transport}")
+        # Lookahead-friendly: some unit-rounds leave the barrier.
+        assert counter_value(obs, "repro_parallel_lookahead_rounds_total") > 0
 
-    def test_xmovie_falls_back_to_full_barrier(self):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_xmovie_falls_back_to_full_barrier(self, transport):
         source = SpecSource.from_estelle_file(XMOVIE_SPEC)
         reference = InProcessBackend().execute(
             source, two_machine_cluster(), mapping=GroupedMapping()
         )
         obs = Observability()
-        relaxed = run_relaxed(source, two_machine_cluster(), obs=obs)
-        assert_byte_identical(reference, relaxed, "xmovie")
+        relaxed = run_relaxed(
+            source, two_machine_cluster(), transport=transport, obs=obs
+        )
+        assert_byte_identical(reference, relaxed, f"xmovie/{transport}")
         # Both units carry delay transitions: relaxation must be inert
         # (barrier fraction exactly 1.0).
         assert counter_value(obs, "repro_parallel_lookahead_rounds_total") == 0
@@ -335,7 +355,7 @@ class TestRelaxedEquivalence:
         # ... and indistinguishable from asking for the strict protocol:
         # relax_barrier=False is the same loop with nobody relaxed.
         strict_obs = Observability()
-        strict = MultiprocessBackend(relax_barrier=False).execute(
+        strict = MultiprocessBackend(relax_barrier=False, transport=transport).execute(
             source, two_machine_cluster(), mapping=GroupedMapping(), obs=strict_obs
         )
         assert_byte_identical(strict, relaxed, "xmovie strict vs relaxed")

@@ -18,6 +18,7 @@ These tests pin the fix end to end:
   (the multiprocess side is asserted in tests/test_parallel_backend.py).
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -343,6 +344,19 @@ class TestXmovieWorkload:
         gaps = [b.time - a.time for a, b in zip(frames, frames[1:])]
         # Pacing floor: frames are at least the delay lower bound apart.
         assert all(gap >= 3.0 for gap in gaps), gaps
+        # The silent-ignore bug on this workload: with its delay clauses
+        # stripped, the same frames go out back-to-back, and sooner.
+        stripped = re.sub(
+            r"delay\s*(\(\s*[\d.]+\s*,\s*[\d.]+\s*\)|[\d.]+)", "", XMOVIE_SPEC.read_text()
+        )
+        undelayed = run_in_process(SpecSource.from_estelle_text(stripped))
+        undelayed_frames = [
+            e.time for e in undelayed.trace.all_firings() if e.transition_name == "send_frame"
+        ]
+        assert not undelayed.deadlocked
+        assert len(undelayed_frames) == len(frames)
+        assert min(b - a for a, b in zip(undelayed_frames, undelayed_frames[1:])) < 3.0
+        assert result.simulated_time > undelayed.simulated_time
 
     @pytest.mark.parametrize("dispatch", ["generated", "planner", "hard-coded"])
     def test_in_process_dispatches_byte_identical(self, dispatch):
@@ -351,6 +365,7 @@ class TestXmovieWorkload:
             SpecSource.from_estelle_file(XMOVIE_SPEC), dispatch=dispatch
         )
         assert trace_diff(reference.trace, other.trace) is None
+        assert other.simulated_time == reference.simulated_time
 
     def test_executor_and_backend_agree(self):
         source = SpecSource.from_estelle_file(XMOVIE_SPEC)

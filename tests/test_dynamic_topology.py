@@ -156,6 +156,7 @@ class TestMcamSessionsInProcess:
         assert "mcam_sessions/mgr/s1#1" in fired
         assert "mcam_sessions/mgr/s2#1" in fired
         assert "mcam_sessions/mgr/s1#2" in fired
+        assert len({path for path in fired if "#" in path}) == 3
         closes = [
             e
             for e in result.trace.all_firings()
@@ -216,6 +217,7 @@ class TestMcamSessionsInProcess:
             trace=True,
         )
         executor.run()
+        assert not executor.deadlocked
         planner = executor.planner
         assert planner is not None
         # 3 inits + 3 releases = 6 structure-epoch bumps on this workload.
@@ -259,3 +261,4 @@ class TestMcamSessionsEquivalence:
                 dispatch=dispatch,
             )
             assert trace_diff(reference.trace, result.trace) is None, dispatch
+            assert result.simulated_time == reference.simulated_time, dispatch

@@ -91,8 +91,10 @@ class TestExecutorInstrumentation:
 
 class TestPlannerInstrumentation:
     def test_reuse_ratio_is_derived_from_the_counters(self):
-        obs, _, _ = run_observed(MCAM_CORE, dispatch="planner")
+        obs, _, result = run_observed(MCAM_CORE, dispatch="planner")
         registry = obs.registry
+        # One plan per round, plus the empty plan that finds quiescence.
+        assert registry.get("repro_planner_rounds_total").value == result.rounds + 1
         evaluated = registry.get("repro_planner_evaluated_total").value
         reused = registry.get("repro_planner_reused_total").value
         ratio = registry.get("repro_planner_reuse_ratio").value

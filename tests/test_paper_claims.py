@@ -1,7 +1,7 @@
 """The paper's claims, checked on the simulated machine model.
 
 Keller, Fischer & Effelsberg (ICDCS 1994): Figures 1-3, Table 1 and the
-measurements of Sections 3 and 5 (E1-E6, E8), one test per claim.  Each test
+measurements of Sections 3 and 5 (E1-E8), one test per claim.  Each test
 asserts the claim's ordering or band as the paper states it, then compares the
 exact simulated numbers the claim rests on with ``tests/golden/claims.json``
 (floats at ``PIN_DIGITS`` significant digits).  Nothing here reads a clock:
@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.asn1 import ParallelEncodingModel
 from repro.estelle import Channel, Module, ModuleAttribute, Specification, ip, transition
 from repro.mcam import (
     DirectoryAgentModule,
@@ -39,6 +40,7 @@ from repro.runtime import (
     HardCodedDispatch,
     LayerPerProcessorMapping,
     SequentialMapping,
+    SpecSource,
     TableDrivenDispatch,
     ThreadPerModuleMapping,
     dispatch_by_name,
@@ -54,6 +56,7 @@ from repro.stream import (
     synthesise_movie,
 )
 from repro.stream.mtp import MtpSender
+from tests.helpers import osi_by_connection
 
 GOLDEN = Path(__file__).parent / "golden" / "claims.json"
 
@@ -367,6 +370,40 @@ def test_e1_speedup_sequential_vs_parallel():
     sequential, parallel, _, _ = pairs[(2, 20)]
     assert parallel.elapsed_time < sequential.elapsed_time
     assert_pinned("E1", pins)
+
+
+# -- E1 on Estelle text: the mesh's OSI workload under the cost model ---------------
+
+OSI_TRANSFER = Path(__file__).parent.parent / "examples" / "specs" / "osi_transfer.estelle"
+
+
+def run_e1_estelle():
+    """E1's two-connection transfer written as Estelle text, the workload the
+    multiprocess mesh runs: sequential on one processor per machine against
+    connection-per-processor on two."""
+    runs = {}
+    for name, mapping, processors in (
+        ("sequential", SequentialMapping(), 1),
+        ("connection-per-processor", osi_by_connection(), 2),
+    ):
+        cluster = Cluster()
+        for machine in ("ksr1", "client-ws-1"):
+            cluster.add(Machine(machine, processors))
+        runs[name], _ = run_specification(
+            SpecSource.from_estelle_file(OSI_TRANSFER).build(), cluster, mapping=mapping
+        )
+    sequential, parallel = runs["sequential"], runs["connection-per-processor"]
+    speedup = parallel.speedup_against(sequential)
+    return speedup, {
+        "sequential_parallel_speedup": [sequential.elapsed_time, parallel.elapsed_time, speedup]
+    }
+
+
+def test_e1_estelle_predicted_speedup():
+    speedup, pins = run_e1_estelle()
+    # The cost model predicts the paper's two-connection band.
+    assert 1.3 <= speedup <= 2.2
+    assert_pinned("E1-estelle", pins)
 
 
 # -- E2: Section 5.2, grouping modules into as many units as processors -------------
@@ -694,6 +731,31 @@ def test_e6_generated_vs_handcoded():
     assert_pinned("E6", pins)
 
 
+# -- E7: Section 5.2 footnote 3, parallel ASN.1 encoding does not pay off -----------
+
+E7_BATCHES = (100, 300)
+E7_WORKERS = (2, 4, 8, 16)
+
+
+def run_e7():
+    """*"by parallelization in this area, we do not obtain better
+    performance"*: the cost model's speedup of a worker pool over the
+    sequential encoder, per batch size and pool size."""
+    model = ParallelEncodingModel()
+    speedups = {
+        str(batch): [model.speedup(batch, workers) for workers in E7_WORKERS]
+        for batch in E7_BATCHES
+    }
+    return speedups, {"speedup_by_batch": speedups}
+
+
+def test_e7_parallel_asn1():
+    speedups, pins = run_e7()
+    for row in speedups.values():
+        assert all(speedup <= 1.05 for speedup in row), row
+    assert_pinned("E7", pins)
+
+
 # -- E8: Section 5.2, splitting long-running modules into pipelines -----------------
 
 WORK = Channel("Work", upstream={"Item"}, downstream={"Credit"})
@@ -828,10 +890,12 @@ CLAIMS = {
     "F3": run_f3,
     "T1": run_t1,
     "E1": run_e1,
+    "E1-estelle": run_e1_estelle,
     "E2": run_e2,
     "E3": run_e3,
     "E4": run_e4,
     "E5": run_e5,
     "E6": run_e6,
+    "E7": run_e7,
     "E8": run_e8,
 }

@@ -25,6 +25,7 @@ from repro.runtime import (
     InProcessBackend,
     MultiprocessBackend,
     SpecSource,
+    ThreadPerModuleMapping,
     backend_by_name,
 )
 from repro.runtime.parallel import (
@@ -33,6 +34,7 @@ from repro.runtime.parallel import (
     traces_equal,
 )
 from repro.sim import Cluster, Machine
+from tests.helpers import osi_by_connection
 
 SPEC_DIR = Path(__file__).parent.parent / "examples" / "specs"
 MCAM_SPEC = SPEC_DIR / "mcam_core.estelle"
@@ -199,12 +201,14 @@ class TestMultiprocessEquivalence:
         assert not multiprocess.deadlocked
 
     def test_osi_transfer_traces_byte_identical(self):
+        # One worker per module: 12 workers outnumber the host's CPUs, so
+        # they time-slice, which may cost speed but never bytes.
         in_process, multiprocess = run_both(
             SpecSource.from_estelle_file(OSI_SPEC),
             two_machine_cluster(2),
-            mapping=GroupedMapping(),
+            mapping=ThreadPerModuleMapping(),
         )
-        assert multiprocess.workers == 4  # two units per machine
+        assert multiprocess.workers == 12
         assert trace_diff(in_process.trace, multiprocess.trace) is None
         assert canonical_trace_bytes(in_process.trace) == canonical_trace_bytes(
             multiprocess.trace
@@ -250,23 +254,30 @@ class TestMultiprocessEquivalence:
         assert all(b.time - a.time >= 3.0 for a, b in zip(frames, frames[1:]))
 
     @pytest.mark.parametrize(
-        "spec_path", [MCAM_SPEC, OSI_SPEC, XMOVIE_SPEC], ids=["mcam", "osi", "xmovie"]
+        "spec_path,mapping,workers",
+        [
+            pytest.param(MCAM_SPEC, GroupedMapping(), 2, id="mcam"),
+            pytest.param(OSI_SPEC, GroupedMapping(), 4, id="osi"),
+            pytest.param(XMOVIE_SPEC, GroupedMapping(), 2, id="xmovie"),
+            pytest.param(OSI_SPEC, osi_by_connection(), 4, id="osi-by-connection"),
+        ],
     )
-    def test_two_processors_per_machine_byte_identical(self, spec_path):
+    def test_two_processors_per_machine_byte_identical(self, spec_path, mapping, workers):
         """Workers re-evaluate only their dirty shard and report summary
         deltas; the coordinator folds them through the fused walk (ISSUE 3).
         The trace must be byte-identical to the in-process planner's — the
         same deltas, selectors and walk in one process — and to the
-        interpreted table-driven walk's."""
+        table-driven and generated walks'."""
         source = SpecSource.from_estelle_file(spec_path)
         multiprocess = MultiprocessBackend().execute(
-            source, two_machine_cluster(2), mapping=GroupedMapping()
+            source, two_machine_cluster(2), mapping=mapping
         )
-        for dispatch in ("planner", "table-driven"):
+        assert multiprocess.workers == workers
+        for dispatch in ("planner", "table-driven", "generated"):
             reference = InProcessBackend().execute(
                 source,
                 two_machine_cluster(2),
-                mapping=GroupedMapping(),
+                mapping=mapping,
                 dispatch=dispatch,
             )
             assert trace_diff(reference.trace, multiprocess.trace) is None, dispatch
@@ -299,7 +310,7 @@ class TestMultiprocessEquivalence:
             busy_work_us_per_cost=50.0,
         )
         assert trace_diff(in_process.trace, multiprocess.trace) is None
-        assert multiprocess.wall_seconds > 0
+        assert in_process.wall_seconds > 0 and multiprocess.wall_seconds > 0
 
 
 class TestMultiprocessDiagnostics:
@@ -413,12 +424,17 @@ class TestMultiprocessPreconditions:
 
     def test_restricted_mesh_still_trace_identical_on_two_connections(self):
         """End to end: the connectivity-derived mesh (c1 and c2 units never
-        linked) must not change the byte-identical equivalence."""
-        in_process, multiprocess = run_both(
-            SpecSource.from_estelle_file(OSI_SPEC),
-            two_machine_cluster(2),
-            mapping=GroupedMapping(),
+        linked) must not change the byte-identical equivalence.  One worker
+        per module keeps the two connections' units apart; over tcp each
+        link is a socket, and the 12 workers outnumber the host's CPUs."""
+        source = SpecSource.from_estelle_file(OSI_SPEC)
+        in_process = InProcessBackend().execute(
+            source, two_machine_cluster(2), mapping=ThreadPerModuleMapping()
         )
+        multiprocess = MultiprocessBackend(transport="tcp").execute(
+            source, two_machine_cluster(2), mapping=ThreadPerModuleMapping()
+        )
+        assert multiprocess.workers == 12
         assert trace_diff(in_process.trace, multiprocess.trace) is None
 
 

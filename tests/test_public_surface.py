@@ -226,6 +226,13 @@ def test_cli_help_lists_no_removed_flag(capsys, main, flags):
             ["."],
             id="one-compiled-artefact",
         ),
+        # One runner for checks (tier-1) and one for timings (the ruler):
+        # the bench files, their runner and its report helpers are gone.
+        pytest.param(
+            r"ExperimentRecord|print_experiment|run_all|BENCH_results|bench_[a-z_]+\.py",
+            ["."],
+            id="one-runner-for-checks-one-for-timings",
+        ),
     ],
 )
 def test_a_removed_mechanism_stays_gone(pattern, paths):

@@ -300,7 +300,8 @@ class TestSupervisedRecovery:
 
 
 class TestEnginePersistence:
-    def test_restart_resumes_with_identical_trace_suffix(self, tmp_path):
+    @pytest.mark.parametrize("population", [1, 50])
+    def test_restart_resumes_with_identical_trace_suffix(self, tmp_path, population):
         source = SpecSource.from_estelle_file(MCAM_SPEC)
         state_dir = str(tmp_path / "state")
 
@@ -312,24 +313,26 @@ class TestEnginePersistence:
             )
 
         first = SessionEngine(state_dir=state_dir)
-        sid = first.create_session(source)
-        first.step(sid, rounds=5)
+        ids = [first.create_session(source) for _ in range(population)]
+        for sid in ids:
+            first.step(sid, rounds=5)
+        sid = ids[0]
         prefix = canonical_rounds(first._session(sid).executor.trace)
-        first.shutdown()  # persists the session
+        first.shutdown()  # persists the sessions
 
         second = SessionEngine(state_dir=state_dir)
         try:
-            assert second.session_ids() == [sid]
+            assert sorted(second.session_ids()) == sorted(ids)
             restored = second.obs.registry.get(
                 "repro_resil_sessions_restored_total"
             )
-            assert restored is not None and restored.value == 1
+            assert restored is not None and restored.value == population
             health = second.run_to_quiescence(sid)
             assert health["stop_reason"] == "quiescent"
             suffix = canonical_rounds(second._session(sid).executor.trace)
             assert prefix + suffix == reference_rounds
             # Serial ids continue past the restored population.
-            assert second.create_session(source) == "s-2"
+            assert second.create_session(source) == f"s-{population + 1}"
         finally:
             second.shutdown()
 

@@ -299,22 +299,26 @@ class TestIncrementalRoundPlanner:
             survivor = spec.find(module)
             assert program.results[program.index_of[survivor]] is kept[survivor]
 
-    def test_reuses_clean_selections(self):
-        spec = ticker_spec(count=5, tokens=0)
+    @pytest.mark.parametrize("count,tokens", [(5, 3), (64, 40), (1024, 40)])
+    def test_reuses_clean_selections(self, count, tokens):
+        spec = ticker_spec(count=count, tokens=0)
         driver = spec.find("t0")
-        driver.variables["tokens"] = 3
+        driver.variables["tokens"] = tokens
         planner = IncrementalRoundPlanner(spec)
 
         plan = planner.plan_round()  # round 1: everything evaluated
-        assert planner.stats.evaluated == 5
+        assert planner.stats.evaluated == count
         while not plan.empty:
             for firing in plan.firings:
                 firing.result.transition.fire(firing.module)
             plan = planner.plan_round()
         # Subsequent rounds re-evaluated only the firing driver module.
-        assert planner.stats.reused > 0
-        assert planner.stats.evaluated == 5 + 3  # initial sweep + one per firing
+        assert planner.stats.reused == tokens * (count - 1)
+        assert planner.stats.evaluated == count + tokens  # initial sweep + one per firing
         assert driver.variables["tokens"] == 0
+        if count >= 64:
+            # A sparse population: nearly every selection is a reuse.
+            assert planner.stats.reuse_ratio > 0.9
 
     def test_examined_accounting_reports_only_reevaluated_modules(self):
         spec = ticker_spec(count=4, tokens=0)

@@ -14,13 +14,15 @@ The property is checked over the differential fuzzer's generated corpus
 IP arrays, dynamic init/release), so it joins the same equivalence family
 as the backend x dispatch matrix: ``SERVE_ISOLATION_SEEDS`` seeds (default
 20), every seed hosted twice in one engine to also catch cross-talk
-between two sessions of the *same* compiled entry.
+between two sessions of the *same* compiled entry.  It is checked under
+load too: 1000 live ``mcam_sessions`` instances of one compiled entry.
 
 On failure the assertion message carries the seed — replay with
 ``tests.fuzzgen.generate_spec_text(seed)``.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,7 @@ ISOLATION_SEEDS = int(os.environ.get("SERVE_ISOLATION_SEEDS", "20"))
 COPIES_PER_SEED = 2
 SLICE_ROUNDS = 3
 MAX_ROUNDS = 400  # same bound the spec fuzzer uses; every seed halts within it
+MCAM_SESSIONS = Path(__file__).parent.parent / "examples" / "specs" / "mcam_sessions.estelle"
 
 
 def fuzz_sources():
@@ -46,6 +49,10 @@ def fuzz_sources():
         )
         for seed in range(ISOLATION_SEEDS)
     }
+
+
+def mcam_sessions_source():
+    return {"mcam_sessions": SpecSource.from_estelle_file(MCAM_SESSIONS)}
 
 
 def run_alone(source):
@@ -61,8 +68,15 @@ def run_alone(source):
     return executor.trace
 
 
-def test_interleaved_sessions_byte_identical_to_sequential():
-    sources = fuzz_sources()
+@pytest.mark.parametrize(
+    "make_sources,copies,slice_rounds",
+    [
+        pytest.param(fuzz_sources, COPIES_PER_SEED, SLICE_ROUNDS, id="fuzz-corpus"),
+        pytest.param(mcam_sessions_source, 1000, 7, id="1000-mcam-sessions"),
+    ],
+)
+def test_interleaved_sessions_byte_identical_to_sequential(make_sources, copies, slice_rounds):
+    sources = make_sources()
     references = {
         seed: canonical_trace_bytes(run_alone(source))
         for seed, source in sources.items()
@@ -73,14 +87,15 @@ def test_interleaved_sessions_byte_identical_to_sequential():
     with SessionEngine() as engine:
         owners = {}
         for seed, source in sources.items():
-            for _ in range(COPIES_PER_SEED):
+            for _ in range(copies):
                 owners[engine.create_session(source)] = seed
+        assert engine.stats()["peak_sessions"] == len(owners)
 
         live = set(owners)
         budget = {sid: MAX_ROUNDS for sid in owners}
         while live:
-            for sid, health in engine.step_all(sorted(live), rounds=SLICE_ROUNDS).items():
-                budget[sid] -= SLICE_ROUNDS
+            for sid, health in engine.step_all(sorted(live), rounds=slice_rounds).items():
+                budget[sid] -= slice_rounds
                 if health["stop_reason"] == "quiescent" or budget[sid] <= 0:
                     live.discard(sid)
 
@@ -93,17 +108,17 @@ def test_interleaved_sessions_byte_identical_to_sequential():
                     run_alone(sources[seed]), session.executor.trace
                 )
                 pytest.fail(
-                    f"seed {seed}: hosted session {sid} diverged "
+                    f"source {seed!r}: hosted session {sid} diverged "
                     f"from the sequential reference: {divergence}\n"
-                    f"replay: tests.fuzzgen.generate_spec_text({seed})"
+                    "a fuzz seed replays with tests.fuzzgen.generate_spec_text(seed)"
                 )
 
     # Compile-once held across the whole corpus: one compile per distinct
-    # seed even with two sessions each.
-    assert registry_stats["entries"] == ISOLATION_SEEDS
+    # source, however many sessions it hosts.
+    assert registry_stats["entries"] == len(sources)
     for spec_stats in registry_stats["specs"]:
         assert spec_stats["compile_count"] == 1, spec_stats
-        assert spec_stats["instantiations"] == COPIES_PER_SEED
+        assert spec_stats["instantiations"] == copies
 
 
 def test_simulated_time_isolated_per_session():
