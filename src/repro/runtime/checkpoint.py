@@ -474,7 +474,7 @@ def restore_executor(executor, snapshot: ExecutorSnapshot) -> None:
     executor._round_index = snapshot.round_index
     executor.deadlocked = snapshot.deadlocked
     executor.metrics = copy.deepcopy(snapshot.metrics)
-    executor.trace.rounds.clear()
+    executor.trace.clear()
     executor._dynamic_unit.clear()
     executor._topology_changed = False
     executor._delayed_modules = None

@@ -16,7 +16,7 @@ declared costs and the same unit placement, so the clock reads — and the
 simulated ``time`` stamped on every :class:`~repro.runtime.tracing.
 FiringEvent` — are bit-identical floats across {in-process, multiprocess}
 × {table-driven, generated, planner}.  That is the property the canonical
-trace contract (:mod:`repro.runtime.parallel.trace`) relies on now that
+trace contract (:mod:`repro.runtime.tracing`) relies on now that
 ``time`` is a canonical field.
 
 When no transition is data-enabled but delay timers are still running, the

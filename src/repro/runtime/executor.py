@@ -50,6 +50,7 @@ from ..estelle.errors import SchedulingError
 from ..estelle.frontend import SpecificationTemplate, compile_template
 from ..estelle.module import Module
 from ..estelle.specification import Specification
+from ..estelle.transition import Transition
 from ..obs import NULL_OBS, Observability
 from ..sim.machine import Cluster, CostModel, Machine
 from ..sim.metrics import ExecutionMetrics
@@ -59,6 +60,28 @@ from .mapping import ExecutionUnit, MappingStrategy, SystemMapping, ThreadPerMod
 from .planner import IncrementalRoundPlanner, PlannerDispatch
 from .scheduler import DecentralisedScheduler, PlannedFiring, RoundPlan, Scheduler
 from .tracing import ExecutionTrace, FiringEvent
+
+
+#: The middle of a trace row that firing produces: (transition name, state
+#: before, state after, consumed interaction name, scaled cost).
+Fired = Tuple[str, Optional[str], Optional[str], Optional[str], float]
+
+
+def fire_planned(module: Module, transition: Optional[Transition], scale: float) -> Fired:
+    """Fire one planned firing: ``transition``, or the module's external step
+    when it is ``None``.  Both execution backends fire through here."""
+    if transition is None:
+        cost = module.external_step() * scale
+        return "external_step", module.state, module.state, None, cost
+    record = transition.fire(module)
+    interaction = record.interaction
+    return (
+        record.transition.name,
+        record.state_before,
+        record.state_after,
+        interaction.name if interaction else None,
+        record.cost * scale,
+    )
 
 
 class SpecificationExecutor:
@@ -453,20 +476,13 @@ class SpecificationExecutor:
             }
 
             if firing.is_external:
-                cost = module.external_step() * self.cost_model.transition_cost_scale
                 self.metrics.external_steps += 1
-                transition_name = "external_step"
-                state_before = state_after = module.state
-                interaction_name = None
-            else:
-                record = firing.result.transition.fire(module)
-                cost = record.cost * self.cost_model.transition_cost_scale
-                transition_name = record.transition.name
-                state_before = record.state_before
-                state_after = record.state_after
-                interaction_name = (
-                    record.interaction.name if record.interaction else None
-                )
+            fired = fire_planned(
+                module,
+                None if firing.is_external else firing.result.transition,
+                self.cost_model.transition_cost_scale,
+            )
+            cost = fired[-1]
 
             if self.busy_work is not None:
                 self.busy_work(cost)
@@ -481,16 +497,12 @@ class SpecificationExecutor:
 
             self.trace.record_firing(
                 FiringEvent(
-                    round_index=self._round_index,
-                    module_path=module.path,
-                    transition_name=transition_name,
-                    state_before=state_before,
-                    state_after=state_after,
-                    interaction_name=interaction_name,
-                    cost=cost,
-                    unit_id=unit.uid,
-                    machine=unit.machine,
-                    time=self.clock.now,
+                    self._round_index,
+                    module.path,
+                    *fired,
+                    unit.uid,
+                    unit.machine,
+                    self.clock.now,
                 )
             )
 

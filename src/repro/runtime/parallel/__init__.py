@@ -25,8 +25,12 @@ Pieces:
   (length-prefixed socket streams with an address-based peer table) behind
   one :class:`Transport` interface, and the one receive loop that enforces
   the round tags,
-* :mod:`.trace` — the canonical byte encoding under which both backends'
-  firing traces must be identical, plus a diff helper.
+* :mod:`.trace` — a shim keeping ``CANONICAL_FIELDS`` and ``firing_tuple``
+  importable for ``benchmarks/ruler/servedrive.py``.
+
+The canonical trace encoding under which both backends' firing traces must
+be identical lives in :mod:`repro.runtime.tracing`; ``canonical_trace_bytes``
+and ``trace_diff`` are re-exported here for the ruler.
 
 Smoke-check from the command line (used by CI)::
 
@@ -34,6 +38,7 @@ Smoke-check from the command line (used by CI)::
     python -m repro.runtime.parallel --transport tcp examples/specs/mcam_core.estelle
 """
 
+from ..tracing import canonical_trace_bytes, trace_diff
 from .backend import MultiprocessBackend, ParallelExecutionError
 from .channels import (
     Batch,
@@ -42,7 +47,6 @@ from .channels import (
     RoutedMessage,
     merge_batches,
 )
-from .trace import canonical_trace_bytes, firing_tuple, trace_diff, traces_equal
 from .transport import (
     MpQueueTransport,
     TcpTransport,
@@ -68,10 +72,8 @@ __all__ = [
     "WorkerConfig",
     "WorkerRuntime",
     "canonical_trace_bytes",
-    "firing_tuple",
     "merge_batches",
     "trace_diff",
-    "traces_equal",
     "transport_by_name",
     "transport_names",
     "worker_main",

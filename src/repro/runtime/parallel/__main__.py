@@ -20,8 +20,8 @@ import sys
 from ...sim.machine import cluster_from_placements
 from ..executor import SpecSource, backend_by_name
 from ..mapping import GroupedMapping
+from ..tracing import canonical_trace_bytes, trace_diff
 from .backend import MultiprocessBackend
-from .trace import canonical_trace_bytes, trace_diff
 from .transport import transport_names
 
 

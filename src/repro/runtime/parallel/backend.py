@@ -20,7 +20,7 @@ the slot fold — and no dispatch strategy to choose: hard-coded against
 table-driven is the in-process executor's measured comparison.
 
 Equivalence with the in-process backend is *byte-level* on the canonical
-firing trace (:mod:`repro.runtime.parallel.trace`): same rounds, same
+firing trace (:mod:`repro.runtime.tracing`): same rounds, same
 firings, same order, same state changes, same costs, same unit placement.
 """
 
@@ -980,30 +980,13 @@ class MultiprocessBackend(ExecutionBackend):
         """
         unit_firing_costs: Dict[int, float] = {}
         for uid, report in ordered:
-            (
-                _,
-                path,
-                name,
-                state_before,
-                state_after,
-                interaction,
-                cost,
-                topology,
-            ) = report
+            # A FiringReport's path and fired fields are the row's middle.
+            cost, topology = report[6], report[7]
             unit = unit_by_uid[uid]
             unit_firing_costs[uid] = unit_firing_costs.get(uid, 0.0) + cost
             trace.record_firing(
                 FiringEvent(
-                    round_index=round_index,
-                    module_path=path,
-                    transition_name=name,
-                    state_before=state_before,
-                    state_after=state_after,
-                    interaction_name=interaction,
-                    cost=cost,
-                    unit_id=unit.uid,
-                    machine=unit.machine,
-                    time=clock.now,
+                    round_index, *report[1:7], unit.uid, unit.machine, clock.now
                 )
             )
             if topology and uid in replay_uids:

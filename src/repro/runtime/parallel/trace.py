@@ -1,98 +1,10 @@
-"""Canonical firing traces: the equivalence currency of the backends.
+"""Kept only for ``benchmarks/ruler/servedrive.py``, which imports these two
+names from here; the trace schema and its encoding live in
+:mod:`repro.runtime.tracing`.  A row is its own canonical tuple, so
+``firing_tuple`` is ``tuple``."""
 
-The multiprocess backend is only trustworthy if it is *behaviourally
-invisible*: running a specification sharded over OS processes must fire
-exactly the same transitions, in the same rounds, in the same order, with the
-same state changes and consumed interactions, as the in-process executor.
-This module defines the canonical byte encoding both backends are compared
-under — a JSON document of per-round firing tuples with a fixed field order —
-plus a human-oriented diff helper for when a regression does slip in.
+from ..tracing import CANONICAL_FIELDS
 
-Per-round timing fields (makespan, serial overhead) are deliberately *not*
-part of the canonical form: the in-process executor records modelled
-simulated time there while the multiprocess backend records measured
-wall-clock, and neither invalidates the other.
-"""
+__all__ = ["CANONICAL_FIELDS", "firing_tuple"]
 
-from __future__ import annotations
-
-import json
-from typing import List, Optional, Tuple
-
-from ..tracing import ExecutionTrace, FiringEvent
-
-#: The FiringEvent fields that define behavioural equivalence, in canonical
-#: order.  ``cost`` is included: both backends compute it as the transition's
-#: declared cost times the same scale factor, so a mismatch means the wrong
-#: transition (or the wrong cost model) fired.  ``time`` is the simulated
-#: time at the start of the firing's round: the shared clock advances by the
-#: busiest unit's firing-cost sum per round (and jumps to the next delay
-#: deadline when only timers are pending), which is derived from the same
-#: declared costs and unit placement on both backends — so a ``time``
-#: mismatch means delay semantics (or the clock derivation) diverged.
-CANONICAL_FIELDS: Tuple[str, ...] = (
-    "round_index",
-    "module_path",
-    "transition_name",
-    "state_before",
-    "state_after",
-    "interaction_name",
-    "cost",
-    "unit_id",
-    "machine",
-    "time",
-)
-
-
-def firing_tuple(event: FiringEvent) -> Tuple:
-    """One firing event as its canonical tuple."""
-    return tuple(getattr(event, name) for name in CANONICAL_FIELDS)
-
-
-def canonical_rounds(trace: ExecutionTrace) -> List[List[Tuple]]:
-    """The trace as a list of rounds, each a list of canonical firing tuples."""
-    return [[firing_tuple(event) for event in record.firings] for record in trace.rounds]
-
-
-def canonical_trace_bytes(trace: ExecutionTrace) -> bytes:
-    """The canonical byte encoding of a trace.
-
-    JSON with sorted-free positional tuples (field order is fixed by
-    :data:`CANONICAL_FIELDS`), compact separators and no float rounding —
-    equivalence is *byte* equality, not approximate equality.  Both backends
-    derive every float through the same arithmetic on the same inputs, so
-    bit-identical floats are the expectation, not an accident.
-    """
-    return json.dumps(
-        {"fields": CANONICAL_FIELDS, "rounds": canonical_rounds(trace)},
-        separators=(",", ":"),
-    ).encode("utf-8")
-
-
-def traces_equal(a: ExecutionTrace, b: ExecutionTrace) -> bool:
-    """Whether two traces are byte-identical under the canonical encoding."""
-    return canonical_trace_bytes(a) == canonical_trace_bytes(b)
-
-
-def trace_diff(a: ExecutionTrace, b: ExecutionTrace) -> Optional[str]:
-    """Human-readable description of the first divergence (None when equal).
-
-    Used by the equivalence tests and the smoke CLI so a failure names the
-    exact round and firing instead of dumping two opaque byte strings.
-    """
-    rounds_a, rounds_b = canonical_rounds(a), canonical_rounds(b)
-    for index in range(max(len(rounds_a), len(rounds_b))):
-        if index >= len(rounds_a):
-            return f"round {index + 1}: first trace ended, second has {rounds_b[index]}"
-        if index >= len(rounds_b):
-            return f"round {index + 1}: second trace ended, first has {rounds_a[index]}"
-        round_a, round_b = rounds_a[index], rounds_b[index]
-        for position in range(max(len(round_a), len(round_b))):
-            left = round_a[position] if position < len(round_a) else "<missing>"
-            right = round_b[position] if position < len(round_b) else "<missing>"
-            if left != right:
-                return (
-                    f"round {index + 1}, firing {position}: "
-                    f"{left!r} != {right!r}"
-                )
-    return None
+firing_tuple = tuple

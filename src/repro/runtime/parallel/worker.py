@@ -51,7 +51,7 @@ from ..checkpoint import (
     restore_modules,
 )
 from ..clock import SimulatedClock
-from ..executor import SpecSource, busy_work_for
+from ..executor import SpecSource, busy_work_for, fire_planned
 from ..planner import PlannerDispatch
 from .channels import ChannelTimeout, RoutedMessage, merge_batches
 from .fold import (
@@ -117,8 +117,9 @@ class WorkerConfig:
 TopologyEvent = Tuple
 
 #: One executed firing, reported for the global trace: (plan index, path,
-#: transition name, state before, state after, interaction name, cost,
-#: topology events the firing caused — in execution order).
+#: then :func:`~repro.runtime.executor.fire_planned`'s transition name, state
+#: before, state after, interaction name and cost, then the topology events
+#: the firing caused — in execution order).
 FiringReport = Tuple[
     int,
     str,
@@ -322,40 +323,21 @@ class WorkerRuntime:
             sent_before = {name: ip.sent_count for name, ip in module.ips.items()}
             events_before = len(self._topology_events)
 
-            if is_external:
-                cost = module.external_step() * scale
-                fired_name = "external_step"
-                state_before = state_after = module.state
-                interaction_name = None
-            else:
-                declared = type(module)._transition_declarations[transition_name]
-                record = declared.fire(module)
-                cost = record.cost * scale
-                fired_name = record.transition.name
-                state_before = record.state_before
-                state_after = record.state_after
-                interaction_name = (
-                    record.interaction.name if record.interaction else None
-                )
+            fired = fire_planned(
+                module,
+                None
+                if is_external
+                else type(module)._transition_declarations[transition_name],
+                scale,
+            )
 
             if self.busy_work is not None:
-                self.busy_work(cost)
+                self.busy_work(fired[-1])
             module.note_fired()
             topology = tuple(self._topology_events[events_before:])
             if topology:
                 self._apply_topology_locally(topology)
-            reports.append(
-                (
-                    plan_index,
-                    path,
-                    fired_name,
-                    state_before,
-                    state_after,
-                    interaction_name,
-                    cost,
-                    topology,
-                )
-            )
+            reports.append((plan_index, path, *fired, topology))
             self._capture_remote_sends(module, sent_before, plan_index, outgoing)
 
         self._topology_events.clear()

@@ -29,7 +29,7 @@ single-run executor into a long-running service:
 
 Sessions are deterministic and isolated: stepping N sessions interleaved
 produces, per session, the byte-identical canonical trace
-(:mod:`repro.runtime.parallel.trace`) that the same session run
+(:mod:`repro.runtime.tracing`) that the same session run
 sequentially — or the plain in-process backend — produces.  That property
 joins the repo's equivalence matrix and is gated by
 ``tests/test_serve_isolation.py`` (a fuzz corpus and 1000 live sessions of

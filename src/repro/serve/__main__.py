@@ -35,7 +35,7 @@ DEFAULT_SPEC = str(
 
 def smoke(spec_path: str, sessions: int, rounds_per_slice: int) -> int:
     from ..runtime.executor import SpecSource
-    from ..runtime.parallel.trace import canonical_trace_bytes, trace_diff
+    from ..runtime.tracing import canonical_trace_bytes, trace_diff
     from .engine import SessionEngine
 
     source = SpecSource.from_estelle_file(spec_path)

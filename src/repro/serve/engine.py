@@ -183,27 +183,12 @@ class Session:
         return {"queued": point.pending()}
 
     def stream_firings(self, since: int) -> Tuple[List[Dict[str, Any]], int]:
-        events = self.executor.trace.all_firings()
-        if since < 0 or since > len(events):
+        firings = self.executor.trace.all_firings()
+        if since < 0 or since > len(firings):
             raise ServeError(
-                f"firing cursor {since} out of range (0..{len(events)})"
+                f"firing cursor {since} out of range (0..{len(firings)})"
             )
-        new = [
-            {
-                "round_index": e.round_index,
-                "module_path": e.module_path,
-                "transition_name": e.transition_name,
-                "state_before": e.state_before,
-                "state_after": e.state_after,
-                "interaction_name": e.interaction_name,
-                "cost": e.cost,
-                "unit_id": e.unit_id,
-                "machine": e.machine,
-                "time": e.time,
-            }
-            for e in events[since:]
-        ]
-        return new, len(events)
+        return [e._asdict() for e in firings[since:]], len(firings)
 
     def health(self, stop_reason: Optional[str] = None) -> Dict[str, Any]:
         metrics = self.executor.metrics

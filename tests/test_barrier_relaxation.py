@@ -27,13 +27,10 @@ from repro.runtime import (
     MultiprocessBackend,
     SpecSource,
 )
-from repro.runtime.parallel import (
-    ParallelExecutionError,
-    canonical_trace_bytes,
-    trace_diff,
-)
+from repro.runtime.parallel import ParallelExecutionError
 from repro.runtime.parallel.backend import _relaxable_units
 from repro.runtime.parallel.worker import UnitDescriptor
+from repro.runtime.tracing import canonical_trace_bytes, trace_diff
 from repro.sim import Cluster, Machine
 from tests.fuzzgen import generate_spec_text
 from tests.helpers import osi_by_connection

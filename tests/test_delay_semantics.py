@@ -34,7 +34,7 @@ from repro.runtime import (
     next_delay_deadline,
     run_specification,
 )
-from repro.runtime.parallel import trace_diff
+from repro.runtime.tracing import trace_diff
 from repro.sim import Cluster, Machine
 
 SPEC_DIR = Path(__file__).parent.parent / "examples" / "specs"

@@ -518,7 +518,7 @@ class TestQuantifiers:
         a legal bound variable; the generated guard once pasted it into its
         Python source and raised a bare SyntaxError under generated/planner."""
         from repro.runtime import InProcessBackend, SpecSource
-        from repro.runtime.parallel import canonical_trace_bytes
+        from repro.runtime.tracing import canonical_trace_bytes
         from repro.sim.machine import cluster_from_placements
 
         text = self.COUNTER_SRC.replace(" i ", " i² ").replace(" i\n", " i²\n")

@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 
 from repro.runtime import GroupedMapping, InProcessBackend, SpecSource
-from repro.runtime.parallel import canonical_trace_bytes
+from repro.runtime.tracing import canonical_trace_bytes
 from tests.fuzzgen import generate_spec_text
 from tests.test_obs_equivalence import SPEC_DIR, WORKLOADS, cluster_for
 from tests.test_spec_fuzz import run_in_process

@@ -25,7 +25,7 @@ from repro.runtime import (
     MultiprocessBackend,
     SpecSource,
 )
-from repro.runtime.parallel import canonical_trace_bytes
+from repro.runtime.tracing import canonical_trace_bytes
 from repro.sim import Cluster, Machine
 
 SPEC_DIR = Path(__file__).parent.parent / "examples" / "specs"

@@ -28,11 +28,7 @@ from repro.runtime import (
     ThreadPerModuleMapping,
     backend_by_name,
 )
-from repro.runtime.parallel import (
-    canonical_trace_bytes,
-    trace_diff,
-    traces_equal,
-)
+from repro.runtime.tracing import canonical_trace_bytes, trace_diff, traces_equal
 from repro.sim import Cluster, Machine
 from tests.helpers import osi_by_connection
 

@@ -233,6 +233,15 @@ def test_cli_help_lists_no_removed_flag(capsys, main, flags):
             ["."],
             id="one-runner-for-checks-one-for-timings",
         ),
+        # One firing record: FiringEvent's fields are the trace schema, its
+        # encoding sits beside it in repro.runtime.tracing, and nothing under
+        # src/ imports the parallel/trace.py shim kept for the ruler.
+        pytest.param(
+            r'def firing_tuple|def canonical_rounds|"state_before":'
+            r"|^\s*(from|import)\s+\S*parallel\.trace\b|^\s*from\s+\.trace\s+import",
+            ["."],
+            id="one-firing-record",
+        ),
     ],
 )
 def test_a_removed_mechanism_stays_gone(pattern, paths):

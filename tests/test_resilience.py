@@ -46,8 +46,7 @@ from repro.runtime import (
     dispatch_by_name,
 )
 from repro.runtime.checkpoint import CheckpointError
-from repro.runtime.parallel import canonical_trace_bytes, trace_diff
-from repro.runtime.parallel.trace import canonical_rounds
+from repro.runtime.tracing import canonical_trace_bytes, trace_diff
 from repro.serve import SessionEngine, StepTimeout
 from repro.serve.api import make_http_server
 from repro.sim import Cluster, Machine
@@ -162,7 +161,7 @@ class TestExecutorCheckpoint:
             trace=True,
         )
         reference.run(max_rounds=200)
-        reference_rounds = canonical_rounds(reference.trace)
+        reference_rounds = reference.trace.firings_by_round()
 
         first = SpecificationExecutor(
             source.build(),
@@ -172,7 +171,7 @@ class TestExecutorCheckpoint:
         )
         first.run(max_rounds=5)
         snapshot = pickle.loads(pickle.dumps(first.snapshot()))
-        prefix = canonical_rounds(first.trace)
+        prefix = first.trace.firings_by_round()
 
         resumed = SpecificationExecutor(
             source.build(),
@@ -183,7 +182,7 @@ class TestExecutorCheckpoint:
         resumed.restore(snapshot)
         resumed.run(max_rounds=200)
 
-        assert prefix + canonical_rounds(resumed.trace) == reference_rounds
+        assert prefix + resumed.trace.firings_by_round() == reference_rounds
         assert resumed.clock.now == reference.clock.now
 
     def test_restore_rejects_foreign_specification(self):
@@ -308,16 +307,16 @@ class TestEnginePersistence:
         with SessionEngine() as reference_engine:
             ref_id = reference_engine.create_session(source)
             reference_engine.run_to_quiescence(ref_id)
-            reference_rounds = canonical_rounds(
-                reference_engine._session(ref_id).executor.trace
-            )
+            reference_rounds = reference_engine._session(
+                ref_id
+            ).executor.trace.firings_by_round()
 
         first = SessionEngine(state_dir=state_dir)
         ids = [first.create_session(source) for _ in range(population)]
         for sid in ids:
             first.step(sid, rounds=5)
         sid = ids[0]
-        prefix = canonical_rounds(first._session(sid).executor.trace)
+        prefix = first._session(sid).executor.trace.firings_by_round()
         first.shutdown()  # persists the sessions
 
         second = SessionEngine(state_dir=state_dir)
@@ -329,7 +328,7 @@ class TestEnginePersistence:
             assert restored is not None and restored.value == population
             health = second.run_to_quiescence(sid)
             assert health["stop_reason"] == "quiescent"
-            suffix = canonical_rounds(second._session(sid).executor.trace)
+            suffix = second._session(sid).executor.trace.firings_by_round()
             assert prefix + suffix == reference_rounds
             # Serial ids continue past the restored population.
             assert second.create_session(source) == f"s-{population + 1}"
@@ -378,9 +377,9 @@ class TestEnginePersistence:
         try:
             assert engine.session_ids() == ["s-7"]
             assert engine.run_to_quiescence("s-7")["stop_reason"] == "quiescent"
-            suffix = canonical_rounds(engine._session("s-7").executor.trace)
-            assert canonical_rounds(writer.trace) + suffix == canonical_rounds(
-                reference.trace
+            suffix = engine._session("s-7").executor.trace.firings_by_round()
+            assert writer.trace.firings_by_round() + suffix == (
+                reference.trace.firings_by_round()
             )
             with open(engine.persist_session("s-7"), "rb") as stream:
                 assert "dispatch" not in pickle.load(stream)

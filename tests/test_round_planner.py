@@ -30,8 +30,8 @@ from repro.runtime import (
     compile_plan_program,
     dispatch_by_name,
 )
-from repro.runtime.parallel import trace_diff
 from repro.runtime.planner import _generate, _shape_of, plan_code_cache_info
+from repro.runtime.tracing import trace_diff
 from repro.sim import Cluster, Machine
 
 SPEC_DIR = Path(__file__).parent.parent / "examples" / "specs"

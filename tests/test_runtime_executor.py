@@ -16,7 +16,7 @@ from repro.runtime import (
     ThreadPerModuleMapping,
     run_specification,
 )
-from repro.runtime.parallel.trace import canonical_trace_bytes
+from repro.runtime.tracing import canonical_trace_bytes
 from repro.sim import Cluster, CostModel, Machine
 from tests.helpers import (
     Pinger,

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.runtime import SpecSource
+from repro.runtime.tracing import CANONICAL_FIELDS
 from repro.serve import (
     ServeError,
     SessionEngine,
@@ -297,14 +298,16 @@ class TestFiringStream:
             assert head == events[-2:]
 
     def test_events_carry_all_canonical_fields(self):
-        from repro.runtime.parallel.trace import CANONICAL_FIELDS
-
         with SessionEngine() as engine:
             sid = engine.create_session(mcam_source())
             engine.step(sid, rounds=3)
-            events, _ = engine.stream_firings(sid)
-            assert events
-            assert set(events[0]) == set(CANONICAL_FIELDS)
+            events, cursor = engine.stream_firings(sid)
+            rows = engine._session(sid).executor.trace.all_firings()
+            assert events and len(events) == len(rows) == cursor
+            for event, row in zip(events, rows):
+                assert tuple(event) == CANONICAL_FIELDS
+                assert tuple(event.values()) == row
+            assert engine.stream_firings(sid, since=cursor) == ([], cursor)
 
     def test_out_of_range_cursor_rejected(self):
         with SessionEngine() as engine:

@@ -27,8 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.runtime import SpecificationExecutor, SpecSource, TableDrivenDispatch
-from repro.runtime.parallel import trace_diff
-from repro.runtime.parallel.trace import canonical_trace_bytes
+from repro.runtime.tracing import canonical_trace_bytes, trace_diff
 from repro.serve import SessionEngine
 from repro.serve.engine import SESSION_PROCESSORS
 from repro.sim.machine import cluster_from_placements

@@ -31,7 +31,7 @@ from repro.runtime import (
     MultiprocessBackend,
     SpecSource,
 )
-from repro.runtime.parallel import trace_diff
+from repro.runtime.tracing import trace_diff
 from repro.sim import Cluster, Machine
 from tests.fuzzgen import generate_spec_text
 

@@ -28,7 +28,7 @@ from repro.runtime import (
     MultiprocessBackend,
     SpecSource,
 )
-from repro.runtime.parallel import canonical_trace_bytes, trace_diff
+from repro.runtime.tracing import canonical_trace_bytes, trace_diff
 from repro.sim import Cluster, Machine
 from tests.fuzzgen import generate_spec_text
 

@@ -29,12 +29,11 @@ from repro.runtime.parallel import (
     MultiprocessBackend,
     WorkerConfig,
     WorkerRuntime,
-    canonical_trace_bytes,
-    trace_diff,
     transport_by_name,
 )
 from repro.runtime.parallel.fold import _RoundPlanner, _root_of
 from repro.runtime.parallel.worker import UnitDescriptor
+from repro.runtime.tracing import canonical_trace_bytes, trace_diff
 from tests.test_parallel_backend import OSI_SPEC, two_machine_cluster
 
 # A desk that spawns a handler per call and retires it again.  {close} is
