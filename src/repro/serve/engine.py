@@ -183,12 +183,12 @@ class Session:
         return {"queued": point.pending()}
 
     def stream_firings(self, since: int) -> Tuple[List[Dict[str, Any]], int]:
-        firings = self.executor.trace.all_firings()
-        if since < 0 or since > len(firings):
+        events = self.executor.trace.all_firings()
+        if since < 0 or since > len(events):
             raise ServeError(
-                f"firing cursor {since} out of range (0..{len(firings)})"
+                f"firing cursor {since} out of range (0..{len(events)})"
             )
-        return [e._asdict() for e in firings[since:]], len(firings)
+        return [e._asdict() for e in events[since:]], len(events)
 
     def health(self, stop_reason: Optional[str] = None) -> Dict[str, Any]:
         metrics = self.executor.metrics
