@@ -67,8 +67,6 @@ class DirtyTracker:
     def __init__(self) -> None:
         self._dirty: Set["Module"] = set()
         self.structure_epoch = 0
-        #: total mark events observed (hook invocations; stats/tests only).
-        self.total_marks = 0
         #: the next-deadline index: (deadline, tiebreak, module) min-heap.
         self._deadlines: List[Tuple[float, int, "Module"]] = []
         self._deadline_sequence = itertools.count()
@@ -77,12 +75,10 @@ class DirtyTracker:
 
     def mark(self, module: "Module") -> None:
         self._dirty.add(module)
-        self.total_marks += 1
 
     def note_structure_change(self, module: "Module") -> None:
         self.structure_epoch += 1
         self._dirty.add(module)
-        self.total_marks += 1
 
     def note_deadline(self, module: "Module", deadline: float) -> None:
         """A delay timer armed on ``module``, expiring at ``deadline``."""

@@ -5,19 +5,29 @@ generation — duplicate names, undeclared states/interaction points/roles,
 interactions a role may not send or receive, ``msg`` used outside a ``when``
 transition — raising located :class:`EstelleSemanticError` diagnostics.  It
 then builds, per ``body``, a dynamically created subclass of
-:class:`repro.estelle.module.Module` whose transitions interpret the action
-ASTs, and assembles the instances and connections into a validated
+:class:`repro.estelle.module.Module`, and assembles the instances and
+connections into a validated
 :class:`repro.estelle.specification.Specification`.
 
-Guards additionally carry a ``_python_source`` attribute: the guard
-expression translated to a Python expression over ``_v`` (the module's
-variable dict) and ``_i`` (the matched interaction).  The optimizing code
-generator (:mod:`repro.runtime.codegen`) uses it to replace the interpreted
-guard with a compiled closure.
+Every transition's ``provided`` guard and action block is *compiled*: the
+AST is translated once per template to Python source over ``module``,
+``_v`` (the module's variable dict) and ``_i`` (the matched interaction)
+by :func:`expr_to_python` and :func:`stmt_to_python`, and ``exec``'d into
+a function.  Those functions are what :class:`~repro.estelle.transition.
+Transition` calls, so the dispatch selectors, the fire-time enabling
+re-check and the delay-timer refresh share one compiled guard per
+transition.  The AST interpreter (:func:`_eval`, :func:`_execute`) stays
+as the reference: each compiled function keeps its interpreted twin as
+``_reference``, every compiled expression falls back to :func:`_eval` when
+it fails (expressions are pure, so the re-evaluation raises exactly the
+interpreter's diagnostic), ``init``/``release`` statements call the
+interpreter's own helpers, and ``initialize`` blocks stay interpreted.
 """
 
 from __future__ import annotations
 
+import keyword
+import math
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..errors import EstelleError, SpecificationError
@@ -120,11 +130,11 @@ def _quantifier_bound(value: Any, which: str, loc) -> int:
 def quantifier_range(low: Any, high: Any) -> range:
     """The inclusive quantifier domain with the interpreter's bound checks.
 
-    Used by the *generated* guard sources (bound as ``_qrange`` by
-    :mod:`repro.runtime.codegen`): bools and non-ints raise TypeError — which
-    the generated guard's fallback turns into a re-evaluation through the
-    interpreted guard and therefore the same located diagnostic — instead of
-    ``range()`` silently accepting ``True`` as 1.
+    Used by the compiled expression sources (bound as ``_qrange``): bools
+    and non-ints raise TypeError — which the compiled expression's fallback
+    turns into a re-evaluation through :func:`_eval` and therefore the same
+    located diagnostic — instead of ``range()`` silently accepting ``True``
+    as 1.
     """
     if (
         isinstance(low, bool)
@@ -153,7 +163,7 @@ def _eval_quantified(
     return any(witnesses) if expr.kind == "exist" else all(witnesses)
 
 
-#: Python spellings of the binary operators for the guard-source translation.
+#: Python spellings of the binary operators for the source translation.
 _PY_BINOPS = {
     "+": "+",
     "-": "-",
@@ -172,8 +182,18 @@ _PY_BINOPS = {
 }
 
 
+def _py_literal(value: Any) -> str:
+    """Python source for a literal value (``repr`` spells ``inf`` bare)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"float({repr(value)!r})"
+    return repr(value)
+
+
 def expr_to_python(
-    expr: ast.Expr, bound: Optional[Dict[str, str]] = None, depth: int = 0
+    expr: ast.Expr,
+    bound: Optional[Dict[str, str]] = None,
+    depth: int = 0,
+    truth: bool = False,
 ) -> str:
     """Translate an expression AST to Python source over ``_v`` and ``_i``.
 
@@ -186,9 +206,13 @@ def expr_to_python(
     comprehension variable is ``_q<depth>``, so it is a valid Python name
     whatever the Estelle name, and distinct from every enclosing one even
     when a body rebinds an outer name.
+
+    ``truth`` says the consumer only tests the result's truth (a guard, an
+    ``if`` condition).  Elsewhere ``and``/``or`` coerce both sides to
+    ``bool`` as :func:`_eval` does: Python's own return an operand.
     """
     if isinstance(expr, ast.Literal):
-        return repr(expr.value)
+        return _py_literal(expr.value)
     if isinstance(expr, ast.Name):
         if bound is not None and expr.ident in bound:
             return bound[expr.ident]
@@ -201,17 +225,96 @@ def expr_to_python(
         scope[expr.var] = var
         low = expr_to_python(expr.low, bound, depth)
         high = expr_to_python(expr.high, bound, depth)
-        body = expr_to_python(expr.body, scope, depth + 1)
+        body = expr_to_python(expr.body, scope, depth + 1, truth=True)
         reducer = "any" if expr.kind == "exist" else "all"
         return f"{reducer}(({body}) for {var} in _qrange(({low}), ({high})))"
     if isinstance(expr, ast.Unary):
-        inner = expr_to_python(expr.operand, bound, depth)
-        return f"(not {inner})" if expr.op == "not" else f"(-{inner})"
+        if expr.op == "not":
+            return f"(not {expr_to_python(expr.operand, bound, depth, truth=True)})"
+        return f"(-{expr_to_python(expr.operand, bound, depth)})"
     if isinstance(expr, ast.Binary):
-        left = expr_to_python(expr.left, bound, depth)
-        right = expr_to_python(expr.right, bound, depth)
+        if expr.op in ("and", "or"):
+            left = expr_to_python(expr.left, bound, depth, truth=True)
+            right = expr_to_python(expr.right, bound, depth, truth=True)
+            if not truth:
+                left, right = f"bool({left})", f"bool({right})"
+        else:
+            left = expr_to_python(expr.left, bound, depth)
+            right = expr_to_python(expr.right, bound, depth)
         return f"({left} {_PY_BINOPS[expr.op]} {right})"
     raise EstelleSemanticError(f"unsupported expression node {type(expr).__name__}", expr.loc)
+
+
+#: What a compiled expression hands back to the interpreter: an undefined
+#: variable (KeyError), a non-integer quantifier bound (TypeError from
+#: :func:`quantifier_range`) or ``msg`` without a message (AttributeError).
+#: Expressions are pure, so re-evaluating through :func:`_eval` is safe and
+#: raises the interpreter's located diagnostic, or the same Python error.
+_FALLBACK = "(KeyError, TypeError, AttributeError)"
+
+
+def _value_to_python(
+    target: str, expr: ast.Expr, nodes: List[Any], indent: str, truth: bool = False
+) -> List[str]:
+    """Lines storing ``expr``'s value into ``target``, with the fallback."""
+    source = expr_to_python(expr, truth=truth)
+    if isinstance(expr, ast.Literal):
+        return [f"{indent}{target} = {source}"]
+    nodes.append(expr)
+    return [
+        f"{indent}try:",
+        f"{indent}    {target} = {source}",
+        f"{indent}except {_FALLBACK}:",
+        f"{indent}    {target} = _eval(_N[{len(nodes) - 1}], module, _i)",
+    ]
+
+
+def stmt_to_python(
+    statements: Tuple[ast.Stmt, ...], nodes: List[Any], indent: str = "    "
+) -> List[str]:
+    """Translate an action block to lines of Python over ``module``, ``_v``
+    and ``_i``, with :func:`_execute`'s semantics.
+
+    Each expression is evaluated as :func:`expr_to_python` spells it and
+    falls back to :func:`_eval` (see :data:`_FALLBACK`); ``output``
+    evaluates every parameter before it sends; ``init`` and ``release``
+    call :func:`_execute_init` / :func:`_execute_release` (``_B`` is the
+    body-class map).  ``nodes`` collects the AST nodes the source refers to
+    as ``_N[k]``.
+    """
+    lines: List[str] = []
+    for stmt in statements:
+        if isinstance(stmt, ast.Assign):
+            lines += _value_to_python(f"_v[{stmt.target!r}]", stmt.expr, nodes, indent)
+        elif isinstance(stmt, ast.OutputStmt):
+            for k, (_, expr) in enumerate(stmt.params):
+                lines += _value_to_python(f"_p{k}", expr, nodes, indent)
+            args = "".join(
+                f", {name}=_p{k}"
+                if name.isascii() and name.isidentifier() and not keyword.iskeyword(name)
+                else f", **{{{name!r}: _p{k}}}"
+                for k, (name, _) in enumerate(stmt.params)
+            )
+            lines.append(f"{indent}module.output({stmt.ip!r}, {stmt.interaction!r}{args})")
+        elif isinstance(stmt, ast.IfStmt):
+            lines += _value_to_python("_c", stmt.condition, nodes, indent, truth=True)
+            lines.append(f"{indent}if _c:")
+            inner = indent + "    "
+            lines += stmt_to_python(stmt.then_branch, nodes, inner) or [f"{inner}pass"]
+            if stmt.else_branch:
+                lines.append(f"{indent}else:")
+                lines += stmt_to_python(stmt.else_branch, nodes, inner)
+        elif isinstance(stmt, ast.InitStmt):
+            nodes.append(stmt)
+            lines.append(f"{indent}_execute_init(_N[{len(nodes) - 1}], module, _i, _B)")
+        elif isinstance(stmt, ast.ReleaseStmt):
+            nodes.append(stmt)
+            lines.append(f"{indent}_execute_release(_N[{len(nodes) - 1}], module)")
+        else:  # pragma: no cover - the parser only builds these kinds
+            raise EstelleSemanticError(
+                f"unsupported statement node {type(stmt).__name__}", stmt.loc
+            )
+    return lines
 
 
 # -- statement execution -----------------------------------------------------------
@@ -836,22 +939,62 @@ def _eval_constant(expr: ast.Expr) -> Any:
 # -- closure factories -------------------------------------------------------------
 
 
+def _compile_function(
+    name: str, source: str, filename: str, namespace: Dict[str, Any]
+) -> Callable:
+    """``exec`` the generated ``def name`` and return the function."""
+    namespace.update(_eval=_eval, _qrange=quantifier_range)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
 def _make_guard(expr: ast.Expr) -> Callable[..., bool]:
-    def guard(module, interaction=None):
+    def reference(module, interaction=None):
         return bool(_eval(expr, module, interaction))
 
+    python_source = expr_to_python(expr, truth=True)
+    guard = _compile_function(
+        "guard",
+        "def guard(module, _i=None):\n"
+        "    _v = module.variables\n"
+        "    try:\n"
+        f"        return bool({python_source})\n"
+        f"    except {_FALLBACK}:\n"
+        "        return _reference(module, _i)\n",
+        f"<estelle guard at {expr.loc}>",
+        {"_reference": reference},
+    )
     guard._estelle_expr = expr
-    guard._python_source = expr_to_python(expr)
+    guard._python_source = python_source
+    guard._reference = reference
     return guard
 
 
 def _make_action(
     node: ast.TransNode, body_classes: Optional[Dict[str, Type[Module]]] = None
 ) -> Callable[..., None]:
-    def action(module, interaction=None):
+    def reference(module, interaction=None):
         _execute(node.statements, module, interaction, body_classes=body_classes)
 
+    nodes: List[Any] = []
+    body = stmt_to_python(node.statements, nodes)
+    python_source = "\n".join(
+        ["def action(module, _i=None):", "    _v = module.variables", *body]
+    )
+    action = _compile_function(
+        "action",
+        python_source,
+        f"<estelle action at {node.loc}>",
+        {
+            "_N": nodes,
+            "_B": body_classes,
+            "_execute_init": _execute_init,
+            "_execute_release": _execute_release,
+        },
+    )
     action._estelle_statements = node.statements
+    action._python_source = python_source
+    action._reference = reference
     return action
 
 
@@ -877,9 +1020,10 @@ class SpecificationTemplate:
 
     Lowering is the expensive half of compilation: every ``body`` becomes a
     dynamically created :class:`~repro.estelle.module.Module` subclass whose
-    transitions close over their action ASTs.  Those classes carry no
-    per-instance state (module state, variables, queues and timers all live
-    on the instances), so one lowering can back any number of independent
+    transitions run guards and actions compiled from their ASTs.  Those
+    classes carry no per-instance state (module state, variables, queues
+    and timers all live on the instances), so one lowering can back any
+    number of independent
     :class:`~repro.estelle.specification.Specification` trees —
     :meth:`instantiate` only re-runs the assembly step (fresh instances,
     connections, validation), which is O(instance state).

@@ -171,6 +171,10 @@ class Module(metaclass=ModuleMeta):
     def __init__(self, name: str, parent: Optional["Module"] = None, **variables: Any):
         self.name = name
         self.parent = parent
+        #: slash-separated path from the specification root to this
+        #: instance; fixed at construction (a module is never renamed or
+        #: re-parented).
+        self.path: str = name if parent is None else f"{parent.path}/{name}"
         self.uid = next(_instance_counter)
         self.children: Dict[str, Module] = {}
         self.variables: Dict[str, Any] = dict(variables)
@@ -206,13 +210,6 @@ class Module(metaclass=ModuleMeta):
     @property
     def attribute(self) -> ModuleAttribute:
         return self.ATTRIBUTE
-
-    @property
-    def path(self) -> str:
-        """Slash-separated path from the specification root to this instance."""
-        if self.parent is None:
-            return self.name
-        return f"{self.parent.path}/{self.name}"
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.path!r}, state={self.state!r})"

@@ -91,10 +91,12 @@ def next_delay_deadline(modules: Iterable["Module"], now: float) -> Optional[flo
     at or before ``now`` are ignored: an expired timer means an enabled
     transition, so the caller's plan could not have been empty.
 
-    Used by the full-rescan paths (the interpreted schedulers and the
-    non-incremental multiprocess workers); the incremental planner keeps the
-    same information in the :class:`~repro.estelle.dirty.DirtyTracker`
-    deadline heap so it never has to scan the module population.
+    Called only by the in-process executor's interpreted path
+    (:meth:`~repro.runtime.executor.SpecificationExecutor._next_deadline`
+    when no planner is attached), which rescans the tree every round anyway;
+    the incremental planner keeps the same information in the
+    :class:`~repro.estelle.dirty.DirtyTracker` deadline heap so it never has
+    to scan the module population.
     """
     best: Optional[float] = None
     for module in modules:

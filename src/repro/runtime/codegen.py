@@ -11,10 +11,10 @@ metadata at runtime:
   and ``when`` clauses become head-of-queue comparisons against interned
   interaction names, so transitions whose input is absent are skipped by the
   generated indexing instead of being examined one by one;
-* **precompiled guard closures**: guards written in the Estelle text language
-  (which the front-end evaluates by walking the expression AST) are compiled
-  to real Python functions; hand-written Python guards are bound directly
-  into the generated function's namespace;
+* **bound guards**: every ``provided`` guard is bound straight into the
+  generated function's namespace — guards written in the Estelle text
+  language arrive already compiled to Python by the front end
+  (:mod:`repro.estelle.frontend.lower`), hand-written ones as they are;
 * a :class:`GeneratedDispatchStrategy` that plugs the generated selectors
   into the existing runtime, registered with
   :func:`repro.runtime.dispatch.dispatch_by_name` under ``"generated"``.
@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from ..estelle.frontend.lower import quantifier_range
 from ..estelle.module import Module
 from ..estelle.specification import Specification
 from ..estelle.transition import ANY_STATE, Transition
@@ -189,41 +188,23 @@ def compile_module_class(module_class: Type[Module]) -> CompiledModuleDispatch:
         f"# Generated transition dispatch for module class "
         f"{module_class.__name__!r}.",
         "# Rows are flattened per (state, interaction); candidates appear in",
-        "# priority order; guards are precompiled closures.",
+        "# priority order; guards are the transitions' own callables.",
         "",
     ]
 
-    # Guard bindings: compile Estelle-sourced guards from their translated
-    # Python expression; bind hand-written Python guards straight in.
-    raw_guards: List[Callable[..., bool]] = []
+    # Guards are bound as they are: the front end already compiled every
+    # Estelle-sourced guard (repro.estelle.frontend.lower), and hand-written
+    # Python guards are plain callables.
+    guards: List[Callable[..., bool]] = []
     guard_names: Dict[int, Optional[str]] = {}
     for index, candidate in enumerate(transitions):
-        guard = candidate.provided
-        if guard is None:
+        if candidate.provided is None:
             guard_names[id(candidate)] = None
             continue
         name = f"_g{index}"
         guard_names[id(candidate)] = name
-        python_source = getattr(guard, "_python_source", None)
-        if python_source is not None:
-            # On KeyError (undefined variable) or TypeError (non-integer
-            # quantifier bound feeding range()) re-evaluate through the
-            # interpreted guard, which raises the source-located diagnostic —
-            # the strategies must stay interchangeable on error paths too.
-            lines.append(f"def {name}(module, _i=None):  # guard of {candidate.name!r}")
-            lines.append("    _v = module.variables")
-            lines.append("    try:")
-            lines.append(f"        return bool({python_source})")
-            lines.append("    except (KeyError, TypeError):")
-            lines.append(f"        return bool(_RAW[{len(raw_guards)}](module, _i))")
-            lines.append("")
-            raw_guards.append(guard)
-        else:
-            lines.append(
-                f"{name} = _RAW[{len(raw_guards)}]  # hand-written guard of "
-                f"{candidate.name!r}"
-            )
-            raw_guards.append(guard)
+        lines.append(f"{name} = _RAW[{len(guards)}]  # guard of {candidate.name!r}")
+        guards.append(candidate.provided)
 
     row_names: Dict[Optional[str], str] = {}
     for index, state in enumerate(rows):
@@ -246,14 +227,7 @@ def compile_module_class(module_class: Type[Module]) -> CompiledModuleDispatch:
     lines.append("    return row(module)")
     source = "\n".join(lines)
 
-    # _qrange backs quantified guard sources; it raises TypeError on
-    # non-integer bounds so the fallback re-routes through the interpreted
-    # guard exactly where the interpreter itself would diagnose them.
-    namespace: Dict[str, Any] = {
-        "_T": transitions,
-        "_RAW": raw_guards,
-        "_qrange": quantifier_range,
-    }
+    namespace: Dict[str, Any] = {"_T": transitions, "_RAW": guards}
     exec(compile(source, f"<generated dispatch {module_class.__name__}>", "exec"), namespace)
     compiled = CompiledModuleDispatch(
         module_class=module_class,

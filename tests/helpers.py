@@ -17,6 +17,7 @@ from repro.estelle import (
     ip,
     transition,
 )
+from repro.estelle.frontend import SpecificationTemplate, compile_template
 from repro.runtime import ConnectionPerProcessorMapping
 from repro.sim import Cluster, CostModel, Machine
 
@@ -143,3 +144,19 @@ def osi_by_connection() -> ConnectionPerProcessorMapping:
     ``examples/specs/osi_transfer.estelle``: its instances name their
     connection in a ``_c1`` / ``_c2`` suffix."""
     return ConnectionPerProcessorMapping(key=lambda module: module.name.rsplit("_", 1)[-1])
+
+
+def reference_template(text: str, filename: str = "<estelle>") -> SpecificationTemplate:
+    """A freshly lowered template whose transitions run the interpreted
+    reference closures (``_reference``) instead of the compiled guards and
+    action blocks — the oracle the compiled bodies are held to.  Fresh, so
+    the cached template other tests share keeps its compiled bodies."""
+    template = compile_template(text, filename)
+    for body_class in template.body_classes.values():
+        # Swapped before any dispatch selector binds the compiled guards.
+        assert "_generated_dispatch" not in vars(body_class)
+        for declared in body_class.declared_transitions():
+            declared.action = declared.action._reference
+            if declared.provided is not None:
+                declared.provided = declared.provided._reference
+    return template

@@ -493,13 +493,17 @@ class TestQuantifiers:
 
     def test_generated_guard_matches_interpreted(self):
         from repro.runtime.codegen import compile_module_class
+        from tests.helpers import reference_template
 
-        interpreted = compile_source(self.COUNTER_SRC)
+        interpreted = reference_template(self.COUNTER_SRC).instantiate()
         generated = compile_source(self.COUNTER_SRC)
         module_i = interpreted.find("m")
         module_g = generated.find("m")
         compiled = compile_module_class(type(module_g))
-        assert "any((" in compiled.source and "all((" in compiled.source
+        guard_sources = " ".join(
+            t.provided._python_source for t in type(module_g).declared_transitions()
+        )
+        assert "any((" in guard_sources and "all((" in guard_sources
         for _ in range(4):
             enabled = module_i.enabled_transitions()
             chosen_i = enabled[0] if enabled else None
@@ -573,3 +577,103 @@ class TestQuantifiers:
         compiled = compile_module_class(type(module))
         with pytest.raises(EstelleSemanticError, match="lower bound must be an integer"):
             compiled.select(module)
+
+
+class TestCompiledBodies:
+    """Guards and action blocks run compiled Python; the interpreted
+    closures they keep as ``_reference`` are the oracle they must match,
+    error paths included."""
+
+    PIPE_SRC = (
+        "specification c;\n"
+        "channel Pipe ( src , dst );\n  by src : Data ;\n  by dst : Ack ;\nend;\n"
+        "module Top systemprocess;\n  ip out : Pipe ( src );\nend;\n"
+        "module Sink systemprocess;\n  ip inp : Pipe ( dst );\nend;\n"
+        "module Kid process;\nend;\n"
+        "body KidBody for Kid;\n  state live ;\nend;\n"
+        "body SinkBody for Sink;\n  state s ;\nend;\n"
+        "body TopBody for Top;\n  state s ;\n"
+        "  initialize to s begin n := 2 end;\n"
+        "  trans from s name t\n    begin\n      {BODY}\n    end;\n"
+        "end;\n"
+        "modvar top : TopBody at 'm' ;\nmodvar sink : SinkBody at 'm' ;\n"
+        "connect top.out to sink.inp ;\nend."
+    )
+
+    def both(self, body):
+        """(compiled, reference) instances of the spec with ``body`` as the
+        action block of transition ``t``."""
+        from tests.helpers import reference_template
+
+        text = self.PIPE_SRC.replace("{BODY}", body)
+        return compile_source(text), reference_template(text).instantiate()
+
+    @staticmethod
+    def fire_t(spec):
+        top = spec.find("top")
+        type(top)._transition_declarations["t"].fire(top)
+        return top
+
+    def test_actions_are_compiled_and_keep_their_reference(self):
+        compiled, _ = self.both("n := n + 1")
+        action = type(compiled.find("top"))._transition_declarations["t"].action
+        assert "_v['n'] = (_v['n'] + 1)" in action._python_source
+        assert action._reference is not action
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "n := missing + 1",
+            "output out.Data ( a := n , b := missing )",
+            "if missing > 0 then n := 1 end",
+        ],
+        ids=["assign", "output-param", "if-condition"],
+    )
+    def test_undefined_variable_same_located_error(self, body):
+        errors = []
+        for spec in self.both(body):
+            with pytest.raises(EstelleSemanticError) as excinfo:
+                self.fire_t(spec)
+            errors.append(excinfo.value)
+            # output evaluates every parameter before it sends anything.
+            assert not spec.find("sink").ip_named("inp").queue
+        compiled, reference = errors
+        assert "undefined variable 'missing'" in str(compiled)
+        assert str(compiled) == str(reference)
+        assert compiled.location == reference.location
+        assert compiled.location.line == self.PIPE_SRC.splitlines().index(
+            "      {BODY}"
+        ) + 1
+
+    def test_div_by_zero_raises_on_both(self):
+        for spec in self.both("n := n div 0"):
+            with pytest.raises(ZeroDivisionError):
+                self.fire_t(spec)
+
+    def test_and_in_value_context_stores_a_bool(self):
+        for spec in self.both("b := (n > 0) and 3; c := 0 or (n > 5)"):
+            variables = self.fire_t(spec).variables
+            assert variables["b"] is True
+            assert variables["c"] is False
+
+    def test_names_and_literals_python_cannot_spell_directly(self):
+        """A parameter named like a Python keyword or with a non-ASCII
+        letter, and a literal that overflows to ``inf``."""
+        for spec in self.both("output out.Data ( class := n , x² := 1e400 )"):
+            self.fire_t(spec)
+            (sent,) = spec.find("sink").ip_named("inp").queue
+            assert sent.params == {"class": 2, "x²": float("inf")}
+
+    def test_init_release_keep_serial_naming(self):
+        body = "if n > 1 then init k with KidBody else release k end; n := n - 1"
+        names = []
+        for spec in self.both(body):
+            top = spec.find("top")
+            declared = type(top)._transition_declarations["t"]
+            history = []
+            for reset in (2, 1, 2):
+                top.variables["n"] = reset
+                declared.fire(top)
+                history.append(sorted(top.children))
+            names.append(history)
+        assert names[0] == names[1] == [["k#1"], [], ["k#2"]]

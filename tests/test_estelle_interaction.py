@@ -1,5 +1,7 @@
 """Unit tests for channels, interactions and interaction points."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -78,6 +80,22 @@ class TestInteractionPoint:
         a = InteractionPoint(Owner("a"), "p", channel.role("user"))
         with pytest.raises(ChannelError):
             a.output(Interaction("Req"))
+
+    def test_unconnected_output_names_the_nested_module_path(self, channel):
+        """The diagnostic names the IP by the owner's full path, not by its
+        bare name, so a nested module's error says where it is."""
+        from repro.estelle import Module, ModuleAttribute, ip
+
+        class Station(Module):
+            ATTRIBUTE = ModuleAttribute.SYSTEMPROCESS
+
+        class Handler(Module):
+            svc = ip("svc", channel, role="user")
+
+        handler = Station("station").create_child(Handler, "h1")
+        assert handler.path == "station/h1"
+        with pytest.raises(ChannelError, match=re.escape("station/h1.svc is not")):
+            handler.output("svc", "Req")
 
     def test_output_wrong_role_raises(self, channel):
         a, b = make_pair(channel)

@@ -23,6 +23,7 @@ SPEC_DIR = Path(__file__).parent.parent / "examples" / "specs"
 MCAM_CORE = SPEC_DIR / "mcam_core.estelle"
 XMOVIE = SPEC_DIR / "xmovie_stream.estelle"
 MCAM_SESSIONS = SPEC_DIR / "mcam_sessions.estelle"
+OSI_TRANSFER = SPEC_DIR / "osi_transfer.estelle"
 
 
 def two_machine_cluster(processors: int = 2) -> Cluster:
@@ -100,6 +101,51 @@ class TestPlannerInstrumentation:
         ratio = registry.get("repro_planner_reuse_ratio").value
         assert evaluated > 0
         assert ratio == pytest.approx(reused / (evaluated + reused))
+
+    def test_counters_equal_stats_across_interval_flushes(self):
+        """Past two flush intervals the registry counters still equal the
+        planner's own stats — right after every flush, and after ``run()``
+        — so no flush may re-add what an earlier one sent.  The osi stack
+        with long transfers plans > 2 intervals of rounds without an empty
+        plan; a delay-bearing spec (xmovie) plans empty, and so flushes,
+        every few rounds and never reaches an interval flush."""
+        from repro.runtime import SpecificationExecutor, dispatch_by_name
+        from repro.runtime.planner import _METRICS_FLUSH_INTERVAL
+
+        text = OSI_TRANSFER.read_text()
+        assert "to_send := 6 " in text
+        obs = Observability()
+        executor = SpecificationExecutor(
+            SpecSource.from_estelle_text(
+                text.replace("to_send := 6 ", "to_send := 60 ")
+            ).build(),
+            two_machine_cluster(),
+            mapping=GroupedMapping(),
+            dispatch=dispatch_by_name("planner"),
+            obs=obs,
+        )
+        planner, registry = executor.planner, obs.registry
+        names = ("rounds", "evaluated", "reused")
+
+        def counters():
+            return [registry.get(f"repro_planner_{n}_total").value for n in names]
+
+        def stats():
+            return [getattr(planner.stats, n) for n in names]
+
+        flushed_at = [0]
+        flush = planner.flush_metrics
+
+        def checked_flush():
+            flush()
+            assert counters() == stats()
+            flushed_at.append(planner.stats.rounds)
+
+        planner.flush_metrics = checked_flush
+        executor.run()
+        assert counters() == stats()
+        gaps = [b - a for a, b in zip(flushed_at, flushed_at[1:])]
+        assert gaps.count(_METRICS_FLUSH_INTERVAL) >= 2, flushed_at
 
     def test_rebuild_counted_and_epoch_event_emitted(self):
         obs, ring, _ = run_observed(MCAM_CORE, dispatch="planner")

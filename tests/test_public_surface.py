@@ -6,8 +6,10 @@ HTTP front and both CLIs carry no removed option.  These are the tripwires
 that keep a removed argument from drifting back in.
 """
 
+import ast
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,7 @@ from repro.sim import Cluster, Machine
 
 MCAM_SPEC = Path(__file__).parent.parent / "examples" / "specs" / "mcam_core.estelle"
 SRC = Path(__file__).parent.parent / "src"
+TESTS = Path(__file__).parent
 
 SHARED_EXECUTE = [
     "self",
@@ -233,6 +236,16 @@ def test_cli_help_lists_no_removed_flag(capsys, main, flags):
             ["."],
             id="one-runner-for-checks-one-for-timings",
         ),
+        # Guards and action blocks are compiled once, by the front end: the
+        # dispatch generator binds them and emits no guard source of its own.
+        pytest.param(
+            r"_python_source|_qrange|except \(KeyError, TypeError\)",
+            ["repro/runtime/codegen.py"],
+            id="guards-compiled-by-the-front-end",
+        ),
+        pytest.param(
+            r"def path\(", ["repro/estelle/module.py"], id="module-path-is-an-attribute"
+        ),
         # One firing record: FiringEvent's fields are the trace schema, its
         # encoding sits beside it in repro.runtime.tracing, and nothing under
         # src/ imports the parallel/trace.py shim kept for the ruler.
@@ -258,3 +271,40 @@ def test_a_removed_mechanism_stays_gone(pattern, paths):
         if re.search(pattern, line)
     ]
     assert found == []
+
+
+def declared_test_extra():
+    """Import names of the packages ``pyproject.toml``'s ``test`` extra names."""
+    text = (TESTS.parent / "pyproject.toml").read_text()
+    match = re.search(r"^test\s*=\s*\[([^\]]*)\]", text, re.MULTILINE)
+    assert match is not None, "pyproject.toml declares no 'test' extra"
+    requirements = re.findall(r"[\"']([A-Za-z0-9_.-]+)", match.group(1))
+    return {name.lower().replace("-", "_") for name in requirements}
+
+
+def test_every_test_import_is_declared():
+    """A tier-1 file that imports a package nobody declared passes on a host
+    that happens to have it and stops collection everywhere else.  Every
+    import under ``tests/`` must be stdlib, ``repro``, a local test module,
+    or a package the ``test`` extra names (which CI installs)."""
+    allowed = (
+        set(sys.stdlib_module_names)
+        | {"repro", "tests"}
+        | {path.stem for path in TESTS.rglob("*.py")}
+        | declared_test_extra()
+    )
+    undeclared = []
+    for file in sorted(TESTS.rglob("*.py")):
+        for node in ast.walk(ast.parse(file.read_text(), str(file))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            undeclared += [
+                f"{file.relative_to(TESTS.parent)}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    assert undeclared == []

@@ -25,15 +25,19 @@ import os
 
 import pytest
 
+from repro.estelle import Module
 from repro.runtime import (
     GroupedMapping,
     InProcessBackend,
     MultiprocessBackend,
     SpecSource,
+    SpecificationExecutor,
+    dispatch_by_name,
 )
-from repro.runtime.tracing import trace_diff
+from repro.runtime.tracing import canonical_trace_bytes, trace_diff
 from repro.sim import Cluster, Machine
 from tests.fuzzgen import generate_spec_text
+from tests.helpers import reference_template
 
 FUZZ_SEEDS = int(os.environ.get("FUZZ_SEEDS", "50"))
 FUZZ_MP_SEEDS = int(os.environ.get("FUZZ_MP_SEEDS", "8"))
@@ -117,6 +121,49 @@ class TestDifferentialInProcess:
                 f"{result.simulated_time} != {reference.simulated_time}"
             )
             assert result.deadlocked == reference.deadlocked, f"seed {seed}"
+
+
+def final_state(specification):
+    """Every live module's control state and variables, with module-valued
+    variables (``init`` targets) spelled as paths so two trees compare."""
+    return {
+        module.path: (
+            module.state,
+            {
+                name: value.path if isinstance(value, Module) else value
+                for name, value in module.variables.items()
+            },
+        )
+        for module in specification.root.walk()
+    }
+
+
+def run_built(specification):
+    executor = SpecificationExecutor(
+        specification,
+        fuzz_cluster(),
+        mapping=GroupedMapping(),
+        dispatch=dispatch_by_name("planner"),
+        trace=True,
+    )
+    executor.run(max_rounds=MAX_ROUNDS)
+    return canonical_trace_bytes(executor.trace), final_state(specification)
+
+
+class TestCompiledBodiesAgainstInterpreter:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_compiled_bodies_match_reference(self, seed):
+        """Compiled guards and action blocks (the cached template every
+        backend builds from) against the interpreted reference closures (a
+        fresh template): the same canonical bytes and final variables."""
+        text, filename = generate_spec_text(seed), f"<fuzz seed {seed}>"
+        compiled = run_built(SpecSource.from_estelle_text(text, filename).build())
+        reference = run_built(reference_template(text, filename).instantiate())
+        assert compiled[0] == reference[0], (
+            f"seed {seed}: compiled bodies diverged from the interpreter\n"
+            f"replay: tests.fuzzgen.generate_spec_text({seed})"
+        )
+        assert compiled[1] == reference[1], f"seed {seed}"
 
 
 class TestDifferentialMultiprocess:
