@@ -26,7 +26,6 @@ interpreter's own helpers, and ``initialize`` blocks stay interpreted.
 
 from __future__ import annotations
 
-import keyword
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -289,12 +288,10 @@ def stmt_to_python(
         elif isinstance(stmt, ast.OutputStmt):
             for k, (_, expr) in enumerate(stmt.params):
                 lines += _value_to_python(f"_p{k}", expr, nodes, indent)
-            args = "".join(
-                f", {name}=_p{k}"
-                if name.isascii() and name.isidentifier() and not keyword.iskeyword(name)
-                else f", **{{{name!r}: _p{k}}}"
-                for k, (name, _) in enumerate(stmt.params)
-            )
+            # One dict display, as the interpreter's comprehension: a
+            # repeated parameter name keeps its last value.
+            params = ", ".join(f"{name!r}: _p{k}" for k, (name, _) in enumerate(stmt.params))
+            args = f", **{{{params}}}" if params else ""
             lines.append(f"{indent}module.output({stmt.ip!r}, {stmt.interaction!r}{args})")
         elif isinstance(stmt, ast.IfStmt):
             lines += _value_to_python("_c", stmt.condition, nodes, indent, truth=True)
@@ -952,20 +949,22 @@ def _make_guard(expr: ast.Expr) -> Callable[..., bool]:
     def reference(module, interaction=None):
         return bool(_eval(expr, module, interaction))
 
-    python_source = expr_to_python(expr, truth=True)
+    nodes: List[Any] = []
+    body = _value_to_python("_c", expr, nodes, "    ", truth=True)
     guard = _compile_function(
         "guard",
-        "def guard(module, _i=None):\n"
-        "    _v = module.variables\n"
-        "    try:\n"
-        f"        return bool({python_source})\n"
-        f"    except {_FALLBACK}:\n"
-        "        return _reference(module, _i)\n",
+        "\n".join(
+            [
+                "def guard(module, _i=None):",
+                "    _v = module.variables",
+                *body,
+                "    return bool(_c)",
+            ]
+        ),
         f"<estelle guard at {expr.loc}>",
-        {"_reference": reference},
+        {"_N": nodes},
     )
-    guard._estelle_expr = expr
-    guard._python_source = python_source
+    guard._python_source = expr_to_python(expr, truth=True)
     guard._reference = reference
     return guard
 
@@ -992,7 +991,6 @@ def _make_action(
             "_execute_release": _execute_release,
         },
     )
-    action._estelle_statements = node.statements
     action._python_source = python_source
     action._reference = reference
     return action

@@ -476,7 +476,6 @@ def restore_executor(executor, snapshot: ExecutorSnapshot) -> None:
     executor.metrics = copy.deepcopy(snapshot.metrics)
     executor.trace.clear()
     executor._dynamic_unit.clear()
-    executor._unit_memo.clear()
     executor._topology_changed = False
     executor._delayed_modules = None
     planner = getattr(executor, "planner", None)

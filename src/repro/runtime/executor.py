@@ -188,10 +188,6 @@ class SpecificationExecutor:
         # bounded by the *live* dynamic population even when a long-running
         # service churns init/release indefinitely.
         self._dynamic_unit: Dict[str, ExecutionUnit] = {}
-        #: :meth:`unit_of`'s answers by module; cleared with every change to
-        #: the mapping or ``_dynamic_unit`` above, and after every round that
-        #: changed the tree.
-        self._unit_memo: Dict[Module, ExecutionUnit] = {}
         #: set by the structure hook (interpreted path) when a child was
         #: created or released; the planner path reads the tracker's
         #: structure epoch instead.
@@ -207,16 +203,9 @@ class SpecificationExecutor:
         """Recompute the module-to-unit mapping (e.g. after many inits)."""
         self._mapping = self.mapping_strategy.compute(self.specification, self.cluster)
         self._dynamic_unit.clear()
-        self._unit_memo.clear()
 
     def unit_of(self, module: Module) -> ExecutionUnit:
         """Execution unit of a module, resolving dynamically created modules."""
-        unit = self._unit_memo.get(module)
-        if unit is None:
-            unit = self._unit_memo[module] = self._resolve_unit(module)
-        return unit
-
-    def _resolve_unit(self, module: Module) -> ExecutionUnit:
         path = module.path
         if self._mapping.knows(path):
             return self._mapping.unit_of(path)
@@ -412,10 +401,8 @@ class SpecificationExecutor:
             if self.planner is not None
             else self._topology_changed
         )
-        if structure_changed:
-            self._unit_memo.clear()
-            if self._dynamic_unit:
-                self._evict_released_units()
+        if structure_changed and self._dynamic_unit:
+            self._evict_released_units()
         makespan = self._account_round(serial_overhead, unit_work, units_by_id)
 
         self.metrics.rounds += 1

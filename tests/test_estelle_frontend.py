@@ -345,7 +345,7 @@ class TestLowering:
         assert metrics.transitions_fired > 0
         assert not executor.deadlocked
 
-    def test_guards_carry_python_source_for_codegen(self):
+    def test_guards_keep_their_python_expression_source(self):
         spec = compile_source(
             "specification x;\nmodule M systemprocess;\nend;\n"
             "body B for M;\n  state s;\n"
@@ -663,6 +663,32 @@ class TestCompiledBodies:
             self.fire_t(spec)
             (sent,) = spec.find("sink").ip_named("inp").queue
             assert sent.params == {"class": 2, "x²": float("inf")}
+
+    def test_repeated_output_parameter_keeps_the_last_value(self):
+        """The interpreter's dict comprehension keeps a repeated name's
+        last value; the compiled send must too, keyword names included."""
+        body = "output out.Data ( a := 1 , a := n , class := 3 , class := 4 )"
+        for spec in self.both(body):
+            self.fire_t(spec)
+            (sent,) = spec.find("sink").ip_named("inp").queue
+            assert sent.params == {"a": 2, "class": 4}
+
+    def test_guard_undefined_variable_same_located_error(self):
+        from tests.helpers import reference_template
+
+        text = self.PIPE_SRC.replace(
+            "trans from s name t", "trans from s provided missing > 0 name t"
+        ).replace("{BODY}", "n := 1")
+        errors = []
+        for spec in (compile_source(text), reference_template(text).instantiate()):
+            top = spec.find("top")
+            with pytest.raises(EstelleSemanticError) as excinfo:
+                type(top)._transition_declarations["t"].enabled(top)
+            errors.append(excinfo.value)
+        compiled, reference = errors
+        assert "undefined variable 'missing'" in str(compiled)
+        assert str(compiled) == str(reference)
+        assert compiled.location == reference.location
 
     def test_init_release_keep_serial_naming(self):
         body = "if n > 1 then init k with KidBody else release k end; n := n - 1"
