@@ -33,17 +33,15 @@ class Interaction:
     name:
         The interaction (message) type name, e.g. ``"MConnectRequest"``.
     params:
-        Immutable mapping of parameter name to value.  Values are arbitrary
-        Python objects; when an interaction crosses the presentation layer the
-        values are ASN.1-encodable structures.
+        Mapping of parameter name to value, owned (not copied) by the
+        interaction: callers pass a dict nobody else holds.  Values are
+        arbitrary Python objects; when an interaction crosses the
+        presentation layer the values are ASN.1-encodable structures.
     """
 
     name: str
     params: Mapping[str, Any] = field(default_factory=dict)
     uid: int = field(default_factory=lambda: next(_interaction_sequence))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
 
     def param(self, key: str, default: Any = None) -> Any:
         """Return a single parameter value (``default`` when absent)."""
@@ -151,10 +149,6 @@ class InteractionPoint:
         self.role = role
         self.peer: Optional["InteractionPoint"] = None
         self.queue: Deque[Interaction] = deque()
-        # Count of every interaction ever enqueued; used by the runtime's
-        # metrics and by tests asserting FIFO behaviour.
-        self.received_count = 0
-        self.sent_count = 0
 
     # -- connection management -------------------------------------------------
 
@@ -208,12 +202,10 @@ class InteractionPoint:
         if self.peer is None:
             raise ChannelError(f"{self.full_name} is not connected; cannot output")
         self.peer.enqueue(interaction)
-        self.sent_count += 1
 
     def enqueue(self, interaction: Interaction) -> None:
         """Place an interaction in this IP's inbound queue (FIFO)."""
         self.queue.append(interaction)
-        self.received_count += 1
         hook = getattr(self.owner, "_dirty_hook", None)
         if hook is not None:
             # A new queue head (or pending count) can change the owner's

@@ -197,6 +197,9 @@ class Module(metaclass=ModuleMeta):
         #: deterministic child naming (``<var>#<serial>``); see
         #: :mod:`repro.estelle.frontend.lower`.
         self._init_serial: Dict[str, int] = {}
+        #: the send log: interactions sent per IP, in first-send order, since
+        #: :func:`repro.runtime.executor.fire_planned` last emptied it.
+        self.send_log: Dict[InteractionPoint, int] = {}
         self.fired_count = 0
         self.initialised = False
         #: set (for the whole subtree) by :meth:`release_child`.  A released
@@ -340,8 +343,17 @@ class Module(metaclass=ModuleMeta):
             ) from exc
 
     def output(self, ip_name: str, interaction_name: str, **params: Any) -> None:
-        """Send an interaction through one of this module's IPs."""
-        self.ip_named(ip_name).output(Interaction(interaction_name, params))
+        """Send an interaction through one of this module's IPs.
+
+        Every module send passes through here (compiled, interpreted and
+        EXTERNAL bodies alike) and is counted against its IP in
+        :attr:`send_log`.  :func:`repro.runtime.executor.fire_planned`
+        empties the log before each firing, so right after a firing it holds
+        that firing's sends, which both backends charge and route from.
+        """
+        point = self.ip_named(ip_name)
+        point.output(Interaction(interaction_name, params))
+        self.send_log[point] = self.send_log.get(point, 0) + 1
 
     def pending_interactions(self) -> int:
         """Total interactions queued across all of this module's IPs."""

@@ -4,7 +4,7 @@ A checkpoint is a *cut state* in the IC3 sense: everything the round
 executor needs so that execution resumed from the checkpoint produces a
 canonical trace byte-identical to the uninterrupted run's suffix.  That
 inventory is small and rng-free by construction — control states,
-variables, IP queues and counters, armed delay timers, dynamic-topology
+variables, IP queues, armed delay timers, dynamic-topology
 shape (which modules exist, their IP arrays, their connections), the
 ``<var>#<serial>`` init counters behind trace-stable naming, and the
 simulated clock / round cursor.  Deliberately *not* captured: wall-time
@@ -81,15 +81,13 @@ def _encode_variable(owner_path: str, key: str, value: Any) -> Any:
 
 @dataclass(frozen=True)
 class IPSnapshot:
-    """One interaction point: queued messages, counters, and who it was
-    connected to (``(owner_path, ip_name)``) so restore can reconcile
-    connections without replaying topology events."""
+    """One interaction point: queued messages, and who it was connected to
+    (``(owner_path, ip_name)``) so restore can reconcile connections without
+    replaying topology events."""
 
     name: str
     peer: Optional[Tuple[str, str]]
     queue: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]
-    received_count: int
-    sent_count: int
 
 
 @dataclass(frozen=True)
@@ -155,13 +153,7 @@ def _snapshot_ip(point) -> IPSnapshot:
         )
         for interaction in point.queue
     )
-    return IPSnapshot(
-        name=point.name,
-        peer=peer,
-        queue=queue,
-        received_count=point.received_count,
-        sent_count=point.sent_count,
-    )
+    return IPSnapshot(name=point.name, peer=peer, queue=queue)
 
 
 def _snapshot_module(module: Module) -> ModuleSnapshot:
@@ -313,8 +305,6 @@ def _restore_module_state(module: Module, snapshot: ModuleSnapshot) -> None:
         point.queue.clear()
         for interaction_name, params in ip_snapshot.queue:
             point.queue.append(Interaction(interaction_name, dict(params)))
-        point.received_count = ip_snapshot.received_count
-        point.sent_count = ip_snapshot.sent_count
 
 
 def _array_index(path: str, ip_name: str) -> int:

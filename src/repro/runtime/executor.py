@@ -69,7 +69,12 @@ Fired = Tuple[str, Optional[str], Optional[str], Optional[str], float]
 
 def fire_planned(module: Module, transition: Optional[Transition], scale: float) -> Fired:
     """Fire one planned firing: ``transition``, or the module's external step
-    when it is ``None``.  Both execution backends fire through here."""
+    when it is ``None``.  Both execution backends fire through here.
+
+    The module's :attr:`~repro.estelle.module.Module.send_log` is emptied
+    first, so afterwards it holds exactly this firing's sends.
+    """
+    module.send_log.clear()
     if transition is None:
         cost = module.external_step() * scale
         return "external_step", module.state, module.state, None, cost
@@ -471,10 +476,6 @@ class SpecificationExecutor:
             unit = self.unit_of(module)
             units_by_id.setdefault(unit.uid, unit)
 
-            sent_before = {
-                name: ip.sent_count for name, ip in module.ips.items()
-            }
-
             if firing.is_external:
                 self.metrics.external_steps += 1
             fired = fire_planned(
@@ -493,7 +494,7 @@ class SpecificationExecutor:
             unit_work[unit.uid] += cost
             firing_work[unit.uid] += cost
 
-            unit_work[unit.uid] += self._charge_messages(module, unit, sent_before)
+            unit_work[unit.uid] += self._charge_messages(module, unit)
 
             self.trace.record_firing(
                 FiringEvent(
@@ -506,17 +507,12 @@ class SpecificationExecutor:
                 )
             )
 
-    def _charge_messages(
-        self,
-        module: Module,
-        unit: ExecutionUnit,
-        sent_before: Dict[str, int],
-    ) -> float:
-        """Cost of the interactions the firing just emitted."""
+    def _charge_messages(self, module: Module, unit: ExecutionUnit) -> float:
+        """Cost of the interactions the firing just emitted (its send log),
+        charged once per IP in first-send order."""
         cost = 0.0
-        for name, point in module.ips.items():
-            delta = point.sent_count - sent_before.get(name, 0)
-            if delta <= 0 or point.peer is None:
+        for point, count in module.send_log.items():
+            if point.peer is None:
                 continue
             peer_owner = point.peer.owner
             peer_unit = (
@@ -524,15 +520,15 @@ class SpecificationExecutor:
             )
             if peer_unit is None or peer_unit.uid == unit.uid:
                 per_message = self.cost_model.intra_unit_message_cost
-                self.metrics.messages_intra_unit += delta
+                self.metrics.messages_intra_unit += count
             elif peer_unit.machine != unit.machine:
                 per_message = self.cost_model.remote_message_cost
-                self.metrics.messages_cross_machine += delta
+                self.metrics.messages_cross_machine += count
             else:
                 per_message = self.cost_model.sync_cost
-                self.metrics.messages_cross_unit += delta
-            cost += per_message * delta
-            self.metrics.sync_time += per_message * delta
+                self.metrics.messages_cross_unit += count
+            cost += per_message * count
+            self.metrics.sync_time += per_message * count
         return cost
 
     # -- per-round time accounting --------------------------------------------------------

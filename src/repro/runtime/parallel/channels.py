@@ -20,9 +20,10 @@ Ordering guarantees
   unit and fires at most once per round — a single batch therefore carries
   every message an IP can receive in a round, already in send order.
 * Within a batch, messages are tagged ``(plan_index, seq)`` — the global
-  position of the firing that produced them and the send position within the
-  firing — so a receiver merging several peers' batches can re-establish the
-  exact global order the in-process executor would have produced.
+  position of the firing that produced them and the send position on their
+  IP within that firing — so a receiver merging several peers' batches can
+  re-establish each queue's exact order under the in-process executor (the
+  only order Estelle's individual queues can observe).
 * The round tag turns protocol bugs (a batch from a *future* round, i.e. a
   worker flushing twice) into immediate :class:`ChannelProtocolError`
   diagnostics rather than silent trace divergence.  A batch tagged with a
@@ -98,8 +99,9 @@ class RoutedMessage(NamedTuple):
     """One interaction crossing a unit boundary.
 
     ``plan_index`` is the position in the round plan of the firing that sent
-    it; ``seq`` the send position within that firing.  ``params`` is a sorted
-    tuple of pairs so the message is hashable and pickles deterministically.
+    it; ``seq`` the send position on its IP within that firing.  ``params``
+    is a sorted tuple of pairs so the message is hashable and pickles
+    deterministically.
     """
 
     plan_index: int
@@ -168,10 +170,10 @@ def derive_link_pairs(
 def merge_batches(batches: Iterable[Batch]) -> List[RoutedMessage]:
     """Merge several peers' batches into global delivery order.
 
-    Sorting by ``(plan_index, seq)`` reconstructs the order in which the
-    in-process executor would have enqueued the same interactions; the
-    trailing fields only break (impossible, see the ordering notes above)
-    ties deterministically.
+    Sorting by ``(plan_index, seq)`` reconstructs, for every target queue,
+    the order in which the in-process executor would have enqueued the same
+    interactions; the trailing fields order one firing's sends on different
+    IPs deterministically.
     """
     merged: List[RoutedMessage] = []
     for batch in batches:

@@ -320,7 +320,6 @@ class WorkerRuntime:
                 # was built before the release, but a released module must
                 # never fire — skip it, exactly like the in-process executor.
                 continue
-            sent_before = {name: ip.sent_count for name, ip in module.ips.items()}
             events_before = len(self._topology_events)
 
             fired = fire_planned(
@@ -338,7 +337,7 @@ class WorkerRuntime:
             if topology:
                 self._apply_topology_locally(topology)
             reports.append((plan_index, path, *fired, topology))
-            self._capture_remote_sends(module, sent_before, plan_index, outgoing)
+            self._capture_remote_sends(module, plan_index, outgoing)
 
         self._topology_events.clear()
         return reports, outgoing
@@ -520,7 +519,6 @@ class WorkerRuntime:
     def _capture_remote_sends(
         self,
         module: Module,
-        sent_before: Dict[str, int],
         plan_index: int,
         outgoing: Dict[int, List[RoutedMessage]],
     ) -> None:
@@ -530,10 +528,10 @@ class WorkerRuntime:
         just-sent interactions sit at the *tail* of the (stale) local copy of
         the remote module's queue; they are removed here and forwarded so the
         owning worker — whose copy is authoritative — enqueues them instead.
+        The module's send log names them: per IP, in first-send order.
         """
-        for name, point in module.ips.items():
-            delta = point.sent_count - sent_before.get(name, 0)
-            if delta <= 0 or point.peer is None:
+        for point, count in module.send_log.items():
+            if point.peer is None:
                 continue
             peer_owner = point.peer.owner
             if not isinstance(peer_owner, Module):
@@ -553,7 +551,7 @@ class WorkerRuntime:
                     "connection created after the mesh was derived (runtime "
                     "connect)?"
                 )
-            newest_first = [point.peer.queue.pop() for _ in range(delta)]
+            newest_first = [point.peer.queue.pop() for _ in range(count)]
             for seq, interaction in enumerate(reversed(newest_first)):
                 outgoing[target_uid].append(
                     RoutedMessage(

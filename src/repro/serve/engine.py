@@ -179,7 +179,8 @@ class Session:
                 f"{point.role.channel.name!r}) cannot receive "
                 f"{interaction_name!r}; receivable: {sorted(peer_role.interactions)}"
             )
-        point.enqueue(Interaction(interaction_name, params or {}))
+        # An interaction owns its params: copy the caller's dict.
+        point.enqueue(Interaction(interaction_name, dict(params or {})))
         return {"queued": point.pending()}
 
     def stream_firings(self, since: int) -> Tuple[List[Dict[str, Any]], int]:

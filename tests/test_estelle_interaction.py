@@ -49,11 +49,27 @@ class TestChannel:
 
 
 class TestInteraction:
-    def test_params_are_copied(self):
+    def test_params_are_owned_and_module_output_hands_over_its_own(self, channel):
+        """An interaction keeps the dict it is given (no copy), so every
+        sender must pass one nobody else holds.  ``Module.output`` passes its
+        ``**params``, which a caller's later mutation cannot reach, and logs
+        the IP it sent on."""
+        from repro.estelle import Module, ModuleAttribute, ip
+
         params = {"x": 1}
-        interaction = Interaction("Req", params)
+        assert Interaction("Req", params).params is params
+
+        class Station(Module):
+            ATTRIBUTE = ModuleAttribute.SYSTEMPROCESS
+            svc = ip("svc", channel, role="user")
+
+        station = Station("station")
+        peer = InteractionPoint(Owner("b"), "p", channel.role("provider"))
+        station.ips["svc"].connect_to(peer)
+        station.output("svc", "Req", **params)
         params["x"] = 2
-        assert interaction.param("x") == 1
+        assert peer.head().param("x") == 1
+        assert station.send_log == {station.ips["svc"]: 1}
 
     def test_with_params_creates_new_interaction(self):
         first = Interaction("Req", {"a": 1})
@@ -96,6 +112,7 @@ class TestInteractionPoint:
         assert handler.path == "station/h1"
         with pytest.raises(ChannelError, match=re.escape("station/h1.svc is not")):
             handler.output("svc", "Req")
+        assert handler.send_log == {}  # a refused send is not logged
 
     def test_output_wrong_role_raises(self, channel):
         a, b = make_pair(channel)

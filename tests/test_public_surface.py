@@ -255,6 +255,13 @@ def test_cli_help_lists_no_removed_flag(capsys, main, flags):
             ["."],
             id="one-firing-record",
         ),
+        # A firing's sends are read from the module's send log, in both
+        # backends: no per-IP counters, no before-and-after snapshot.
+        pytest.param(
+            r"sent_count|received_count|sent_before",
+            ["."],
+            id="one-record-of-a-firings-sends",
+        ),
     ],
 )
 def test_a_removed_mechanism_stays_gone(pattern, paths):

@@ -386,6 +386,45 @@ class TestEnginePersistence:
         finally:
             engine.shutdown()
 
+    def test_stored_document_with_ip_counters_still_resumes(self, tmp_path):
+        """``IPSnapshot`` no longer carries ``received_count``/``sent_count``
+        (no reader was left), and the document version did not move: a
+        ``.ckpt`` written before, whose IP snapshots still hold both
+        attributes, must load and resume to the identical trace suffix."""
+        source = SpecSource.from_estelle_file(MCAM_SPEC)
+        with SessionEngine() as reference_engine:
+            ref_id = reference_engine.create_session(source)
+            reference_engine.run_to_quiescence(ref_id)
+            reference = reference_engine._session(ref_id).executor.trace
+
+        state_dir = tmp_path / "state"
+        first = SessionEngine(state_dir=str(state_dir))
+        sid = first.create_session(source)
+        first.step(sid, rounds=9)  # two interactions queued at this cut
+        prefix = first._session(sid).executor.trace.firings_by_round()
+        path = first.persist_session(sid)
+        first.shutdown()
+        with open(path, "rb") as stream:
+            document = pickle.load(stream)
+        ip_snapshots = [
+            ip for module in document["snapshot"].modules for ip in module.ips
+        ]
+        assert any(ip.queue for ip in ip_snapshots)
+        for ip in ip_snapshots:
+            object.__setattr__(ip, "received_count", len(ip.queue) + 3)
+            object.__setattr__(ip, "sent_count", 2)
+        with open(path, "wb") as stream:
+            pickle.dump(document, stream)
+
+        second = SessionEngine(state_dir=str(state_dir))
+        try:
+            assert second.session_ids() == [sid]
+            assert second.run_to_quiescence(sid)["stop_reason"] == "quiescent"
+            suffix = second._session(sid).executor.trace.firings_by_round()
+            assert prefix + suffix == reference.firings_by_round()
+        finally:
+            second.shutdown()
+
     def test_closed_session_checkpoint_is_removed(self, tmp_path):
         state_dir = tmp_path / "state"
         engine = SessionEngine(state_dir=str(state_dir))

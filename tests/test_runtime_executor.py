@@ -19,6 +19,7 @@ from repro.runtime import (
 from repro.runtime.tracing import canonical_trace_bytes
 from repro.sim import Cluster, CostModel, Machine
 from tests.helpers import (
+    PING_PONG,
     Pinger,
     Ponger,
     build_ping_pong_spec,
@@ -228,6 +229,98 @@ class TestCostAccounting:
         assert together.messages_cross_unit == 0
         assert together.messages_intra_unit > 0
         assert split.sync_time > together.sync_time
+
+    @pytest.mark.parametrize(
+        "mapping,locations,expected",
+        [
+            pytest.param(SequentialMapping, ("m1", "m1"), (11, 0, 0), id="one-unit"),
+            pytest.param(ThreadPerModuleMapping, ("m1", "m1"), (0, 11, 0), id="two-units"),
+            pytest.param(ThreadPerModuleMapping, ("m1", "m2"), (0, 0, 11), id="two-machines"),
+        ],
+    )
+    def test_ping_pong_charges_each_message_once_by_where_it_goes(
+        self, mapping, locations, expected
+    ):
+        cost_model = CostModel(
+            sync_cost=5.0, intra_unit_message_cost=0.01, remote_message_cost=2.0
+        )
+        spec = build_ping_pong_spec(count=5, locations=locations)
+        cluster = Cluster()
+        for name in sorted(set(locations)):
+            cluster.add(Machine(name, 4, cost_model))
+        metrics, _ = run_specification(
+            spec, cluster, mapping=mapping(), cost_model=cost_model
+        )
+        # Five Pings, five Pongs and the Stop: eleven sending firings, one
+        # message each.
+        assert (
+            metrics.messages_intra_unit,
+            metrics.messages_cross_unit,
+            metrics.messages_cross_machine,
+        ) == expected
+        per_message = (0.01, 5.0, 2.0)[expected.index(11)]
+        sync_time = 0.0
+        for _ in range(11):  # one charge per sending firing, in firing order
+            sync_time += per_message
+        assert metrics.sync_time == sync_time
+
+    def test_several_sends_on_one_ip_are_charged_as_one_product(self):
+        class Burster(Module):
+            ATTRIBUTE = ModuleAttribute.SYSTEMPROCESS
+            STATES = ("ready", "done")
+            port = ip("port", PING_PONG, role="pinger")
+
+            @transition(from_state="ready", to_state="done", cost=1.0)
+            def burst(self) -> None:
+                for sequence in range(10):
+                    self.output("port", "Ping", sequence=sequence)
+
+        class Sink(Module):
+            ATTRIBUTE = ModuleAttribute.SYSTEMPROCESS
+            STATES = ("ready",)
+            port = ip("port", PING_PONG, role="ponger")
+
+            @transition(from_state="ready", when=("port", "Ping"), cost=1.0)
+            def swallow(self, interaction) -> None:
+                pass
+
+        spec = Specification("burst")
+        burster = spec.add_system_module(Burster, "burster", location="m1")
+        sink = spec.add_system_module(Sink, "sink", location="m1")
+        spec.connect(burster.ip_named("port"), sink.ip_named("port"))
+        spec.validate()
+        metrics, _ = run_specification(
+            spec,
+            single_machine_cluster(processors=1, intra_unit_message_cost=0.01),
+            mapping=SequentialMapping(),
+        )
+        assert metrics.messages_intra_unit == 10
+        # 0.01 * 10 == 0.1, where ten running additions of 0.01 would read
+        # 0.09999999999999999.
+        assert metrics.sync_time == 0.01 * 10
+
+    def test_a_send_before_run_is_charged_to_no_firing(self):
+        cost_model = CostModel(sync_cost=5.0)
+        spec = build_ping_pong_spec(count=1)
+        cluster = Cluster()
+        cluster.add(Machine("m1", 4, cost_model))
+        pinger = spec.find("pinger")
+        pinger.output("port", "Stop")
+        metrics, executor = run_specification(
+            spec,
+            cluster,
+            mapping=ThreadPerModuleMapping(),
+            cost_model=cost_model,
+            trace=True,
+        )
+        # Round 1: the ponger consumes that early Stop while the pinger sends
+        # its Ping, the only message a firing sent.  Charging the pinger's
+        # firing with the Stop too would read 2 and 10.0.
+        fired = [(e.module_path, e.transition_name) for e in executor.trace.all_firings()]
+        assert fired == [(pinger.path, "send_ping"), (spec.find("ponger").path, "stop")]
+        assert metrics.messages_cross_unit == 1
+        assert metrics.messages_intra_unit == metrics.messages_cross_machine == 0
+        assert metrics.sync_time == 5.0
 
     def test_cross_machine_messages_counted(self):
         spec = build_ping_pong_spec(count=2, locations=("m1", "m2"))

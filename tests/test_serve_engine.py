@@ -271,6 +271,17 @@ class TestIngress:
             assert events[0]["transition_name"] == "on_ping"
             assert events[0]["interaction_name"] == "Ping"
 
+    def test_inject_copies_the_callers_params(self):
+        """An interaction owns its params dict, so ingress — the one sender
+        whose dict comes from outside the program — queues a copy."""
+        with SessionEngine() as engine:
+            sid = engine.create_session(echo_source())
+            params = {"n": 1}
+            engine.inject(sid, "srv", "ctl", "Ping", params)
+            params["n"] = 2
+            srv = engine._session(sid).executor.specification.find("srv")
+            assert srv.ips["ctl"].head().params == {"n": 1}
+
     def test_inject_validates_ip_name(self):
         with SessionEngine() as engine:
             sid = engine.create_session(echo_source())

@@ -146,6 +146,56 @@ POLITE_DESK = DESK_SRC.replace("{close}", "when line.Bye\n    provided live = 1"
 
 DESK, HANDLER, CALLER = "desk/desk", "desk/desk/h#1", "desk/caller"
 
+# One firing, three sends across the unit boundary: two on one IP, one on
+# another.
+FANOUT_SRC = """
+specification fanout;
+
+channel Line ( src , dst );
+  by src : Data ;
+end;
+
+module Sender systemprocess;
+  ip a : Line ( src );
+  ip b : Line ( src );
+end;
+
+module Sink systemprocess;
+  ip x : Line ( dst );
+  ip y : Line ( dst );
+end;
+
+body SenderBody for Sender;
+  state ready , sent ;
+  initialize to ready
+  begin
+    n := 0
+  end;
+  trans from ready to sent
+    name burst
+    cost 1.0
+    begin
+      output a.Data ( k := 1 );
+      output a.Data ( k := 2 );
+      output b.Data ( k := 3 )
+    end;
+end;
+
+body SinkBody for Sink;
+  state idle ;
+  initialize to idle
+  begin
+    n := 0
+  end;
+end;
+
+modvar sender : SenderBody at "ksr1" ;
+modvar sink : SinkBody at "client-ws-1" ;
+connect sender.a to sink.x ;
+connect sender.b to sink.y ;
+end.
+"""
+
 
 class Mesh:
     """One ``WorkerRuntime`` per unit of the grouped mapping, one transport,
@@ -398,3 +448,39 @@ class TestRelaxedLocalRound:
         (runtime,) = built.runtimes.values()
         with pytest.raises(SchedulingError, match="relax_barrier=False"):
             runtime.local_round(1)
+
+
+class TestRemoteSends:
+    def test_one_firings_sends_are_routed_in_send_order(self, mesh):
+        built = mesh(SpecSource.from_estelle_text(FANOUT_SRC))
+        (sender_uid,) = [
+            u for u, unit in built.units.items() if "fanout/sender" in unit.module_paths
+        ]
+        (sink_uid,) = set(built.units) - {sender_uid}
+        runtime = built.runtimes[sender_uid]
+        reports, outgoing = runtime.fire(1, ((0, "fanout/sender", "burst", False),))
+        assert [(report[1], report[2]) for report in reports] == [
+            ("fanout/sender", "burst")
+        ]
+        routed = [
+            (m.plan_index, m.seq, m.target_path, m.ip_name, m.interaction_name, m.params)
+            for m in outgoing[sink_uid]
+        ]
+        assert routed == [
+            (0, 0, "fanout/sink", "x", "Data", (("k", 1),)),
+            (0, 1, "fanout/sink", "x", "Data", (("k", 2),)),
+            (0, 0, "fanout/sink", "y", "Data", (("k", 3),)),
+        ]
+        # The sender's replica of the sink keeps none of them; the sink's
+        # owner enqueues all three once the batch arrives.
+        replica = runtime.modules["fanout/sink"]
+        assert [len(point.queue) for point in replica.ips.values()] == [0, 0]
+        runtime.flush(1, outgoing)
+        sink_runtime = built.runtimes[sink_uid]
+        sink_runtime.flush(1, sink_runtime.fire(1, ())[1])
+        sink_runtime.deliver_pending()
+        sink = sink_runtime.modules["fanout/sink"]
+        assert {
+            name: [interaction.params for interaction in point.queue]
+            for name, point in sink.ips.items()
+        } == {"x": [{"k": 1}, {"k": 2}], "y": [{"k": 3}]}
